@@ -28,7 +28,6 @@ from .gradients import (
     chain_rule_residual,
     cosh_sum_field,
     convex_quartic_field,
-    discrete_gradient,
     discrete_gradient_info,
     linear_field,
     midpoint_gradient,
@@ -44,13 +43,10 @@ from .integrators import (
     StepRecord,
     StepResult,
     Trajectory,
-    dg_step,
-    gonzalez_constrained_step,
-    implicit_euler_step,
-    index1_dg_step,
     integrate,
     newton_solve,
     project_to_constraint,
+    step,
 )
 from .linalg import (
     SubspaceData,
@@ -107,7 +103,6 @@ __all__ = [
     "chain_rule_residual",
     "cosh_sum_field",
     "convex_quartic_field",
-    "discrete_gradient",
     "discrete_gradient_info",
     "linear_field",
     "midpoint_gradient",
@@ -122,13 +117,10 @@ __all__ = [
     "StepRecord",
     "StepResult",
     "Trajectory",
-    "dg_step",
-    "gonzalez_constrained_step",
-    "implicit_euler_step",
-    "index1_dg_step",
     "integrate",
     "newton_solve",
     "project_to_constraint",
+    "step",
     # linalg
     "SubspaceData",
     "is_negative_semidefinite",

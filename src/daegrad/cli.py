@@ -12,8 +12,8 @@ Two subcommands:
 
 Configuration may come from flat ``key = value`` files (``--config``,
 repeatable; ``#`` starts a comment).  Explicit flags override file values.
-With ``--jobs N`` several config files run concurrently, each writing its
-own output file.
+Several config files form a batch that runs one after another, each
+writing its own output file.
 
 The CSV layout is fixed: ``step,t,V,V_err,constraint_norm,c_norm,
 newton_iters,newton_residual`` followed by one column per extra invariant
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,20 +196,7 @@ def _execute_run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     scheme = config.scheme or spec.recommended_scheme
-    if scheme not in SCHEMES:
-        print(f"error: unknown scheme {scheme!r}; available: {', '.join(SCHEMES)}", file=sys.stderr)
-        return 1
-    if scheme == "gonzalez":
-        if spec.gonzalez is None:
-            print(
-                f"error: problem {config.problem!r} has no constrained canonical form "
-                "required by scheme 'gonzalez'",
-                file=sys.stderr,
-            )
-            return 1
-        target = spec.gonzalez
-    else:
-        target = spec.dae
+    target = spec.gonzalez if scheme == "gonzalez" else spec.dae
     newton_cfg = NewtonConfig(residual_tol=config.newton_tol, max_iters=config.newton_max_iters)
 
     failure: StepFailure | None = None
@@ -253,8 +239,6 @@ def _execute_run(config: RunConfig) -> int:
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise CliError(f"jobs must be at least 1, got {args.jobs}")
     if args.config:
         configs = [_merge_run_config(args, _parse_config_file(path)) for path in args.config]
     else:
@@ -265,10 +249,6 @@ def _run_command(args: argparse.Namespace) -> int:
             raise CliError("every config in a batch needs its own 'out' path")
         if len(set(outs)) != len(outs):
             raise CliError("batch configs must write to distinct 'out' paths")
-    if args.jobs > 1 and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(_execute_run, configs))
-        return max(codes)
     return max(_execute_run(config) for config in configs)
 
 
@@ -351,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="flat 'key = value' config file; repeatable, flags override",
     )
-    run_p.add_argument("--jobs", type=int, default=1, help="run multiple configs concurrently")
 
     check_p = sub.add_parser("check", help="print a structure report for a problem")
     check_p.add_argument("problem", help=f"one of: {', '.join(PROBLEM_NAMES)}")

@@ -50,8 +50,6 @@ __all__ = [
     "midpoint_gradient",
     "theta_coefficient",
     "proper_gradient",
-    "proper_gradient_info",
-    "discrete_gradient",
     "discrete_gradient_info",
     "chain_rule_residual",
 ]
@@ -84,7 +82,6 @@ class ScalarField:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hint: str = "general"
-    quadratic_matrix: np.ndarray | None = None
     divergence: Callable[[np.ndarray, np.ndarray], float] | None = None
     name: str = ""
 
@@ -113,7 +110,6 @@ def quadratic_field(X, linear=None, name: str = "") -> ScalarField:
         value=lambda z: 0.5 * float(z @ (X @ z)) + float(b @ z),
         gradient=lambda z: X @ z + b,
         hint="quadratic",
-        quadratic_matrix=X,
         divergence=divergence,
         name=name,
     )
@@ -339,28 +335,6 @@ def theta_coefficient(V: ScalarField, z, zp, denominator_tol: float = 1e-10) -> 
     return _theta_pair(V, z, zp, denominator_tol)[0]
 
 
-def proper_gradient_info(
-    V: ScalarField,
-    z,
-    zp,
-    denominator_tol: float = 1e-10,
-    fallback: bool = True,
-) -> tuple[np.ndarray, bool]:
-    """Interior-division gradient plus a flag marking a midpoint fallback."""
-    z, zp = _as_pair(V, z, zp)
-    if _coincide(z, zp):
-        return np.asarray(V.gradient(z), dtype=float), False
-    try:
-        t1, t2 = _theta_pair(V, z, zp, denominator_tol)
-    except DegenerateDenominator:
-        if not fallback:
-            raise
-        return midpoint_gradient(V, z, zp), True
-    g1 = np.asarray(V.gradient(z), dtype=float)
-    g2 = np.asarray(V.gradient(zp), dtype=float)
-    return t1 * g1 + t2 * g2, False
-
-
 def proper_gradient(
     V: ScalarField,
     z,
@@ -373,9 +347,12 @@ def proper_gradient(
     Coincident points (within ``1e-14 * max(1, ||z||)``) return the exact
     gradient.  A degenerate curvature term either raises or, with
     ``fallback=True``, silently yields the midpoint gradient; use
-    :func:`proper_gradient_info` to observe which branch was taken.
+    :func:`discrete_gradient_info` to observe which branch was taken.
     """
-    return proper_gradient_info(V, z, zp, denominator_tol, fallback)[0]
+    kind = DiscreteGradientKind(
+        "proper", denominator_tol=denominator_tol, fallback_to_midpoint=fallback
+    )
+    return discrete_gradient_info(kind, V, z, zp)[0]
 
 
 def discrete_gradient_info(
@@ -386,18 +363,23 @@ def discrete_gradient_info(
         return avf_gradient(V, z, zp, order=kind.quadrature_order), False
     if kind.variant == "midpoint":
         return midpoint_gradient(V, z, zp), False
-    return proper_gradient_info(
-        V, z, zp, kind.denominator_tol, kind.fallback_to_midpoint
-    )
-
-
-def discrete_gradient(kind: DiscreteGradientKind, V: ScalarField, z, zp) -> np.ndarray:
-    return discrete_gradient_info(kind, V, z, zp)[0]
+    z, zp = _as_pair(V, z, zp)
+    if _coincide(z, zp):
+        return np.asarray(V.gradient(z), dtype=float), False
+    try:
+        t1, t2 = _theta_pair(V, z, zp, kind.denominator_tol)
+    except DegenerateDenominator:
+        if not kind.fallback_to_midpoint:
+            raise
+        return midpoint_gradient(V, z, zp), True
+    g1 = np.asarray(V.gradient(z), dtype=float)
+    g2 = np.asarray(V.gradient(zp), dtype=float)
+    return t1 * g1 + t2 * g2, False
 
 
 def chain_rule_residual(kind: DiscreteGradientKind, V: ScalarField, z, zp) -> float:
     """``|<gbar(z, z'), z - z'> - (V(z) - V(z'))|`` for the selected kind."""
     z = np.asarray(z, dtype=float)
     zp = np.asarray(zp, dtype=float)
-    g = discrete_gradient(kind, V, z, zp)
+    g = discrete_gradient_info(kind, V, z, zp)[0]
     return abs(float(g @ (z - zp)) - (V.value(z) - V.value(zp)))

@@ -1,23 +1,23 @@
 """One-step integrators for linear-gradient DAE systems.
 
-All schemes advance ``A z' = f(z)`` by solving a nonlinear system with a
-damped Newton iteration (forward-difference Jacobian by default):
+Every scheme solves one residual per step with a damped Newton iteration
+(forward-difference Jacobian by default).  The schemes, by name:
 
-* ``implicit_euler_step``   - ``A (z1 - z0) = dt f(z1)``; conserves any
-  linear invariant whose gradient avoids the null space of ``A``.
-* ``dg_step``               - discrete-gradient scheme
-  ``A (z1 - z0) = dt Sbar gbar(z1, z0)`` for a selectable discrete
-  gradient and structure-matrix average.
-* ``index1_dg_step``        - the interior-division scheme for index-1
-  systems, augmented with a redundant null-space force ``B c`` and the
-  explicit constraint block ``B^T S(z1) grad V(z1) = 0``, which lands
-  every step on the constraint manifold while conserving ``V``.
-* ``gonzalez_constrained_step`` - discrete-gradient scheme for canonical
-  systems with holonomic constraints, enforcing ``g(q1) + g(q0) = 0``.
+* ``implicit-euler`` - ``A (z1 - z0) = dt f(z1)``; conserves any linear
+  invariant whose gradient avoids the null space of ``A``.
+* ``dg-avf``, ``dg-midpoint``, ``dg-proper`` - the discrete-gradient
+  scheme ``A (z1 - z0) = dt Sbar gbar(z1, z0)`` with the named discrete
+  gradient and ``Sbar`` the endpoint average of ``S``.
+* ``dg-index1`` - the interior-division scheme for index-1 systems,
+  augmented with a redundant null-space force ``B c`` and the explicit
+  constraint block ``B^T S(z1) grad V(z1) = 0``, which lands every step
+  on the constraint manifold while conserving ``V``.
+* ``gonzalez`` - discrete-gradient scheme for canonical systems with
+  holonomic constraints, enforcing ``g(q1) + g(q0) = 0``.
 
-``integrate`` drives any of them, records per-step diagnostics, and
-returns the partial trajectory inside a :class:`StepFailure` if a step
-fails mid-run.
+``step`` takes one step of any of them.  ``integrate`` drives a run,
+records per-step diagnostics, and returns the partial trajectory inside
+a :class:`StepFailure` if a step fails mid-run.
 """
 
 from __future__ import annotations
@@ -41,17 +41,14 @@ from .gradients import (
     discrete_gradient_info,
     midpoint_gradient,
 )
-from .model import ConstrainedHamiltonian, LinearGradientDAE
+from .model import ConstrainedHamiltonian, GeneralDAE, LinearGradientDAE
 
 __all__ = [
     "NewtonConfig",
     "NewtonResult",
     "newton_solve",
     "StepResult",
-    "implicit_euler_step",
-    "dg_step",
-    "index1_dg_step",
-    "gonzalez_constrained_step",
+    "step",
     "project_to_constraint",
     "StepRecord",
     "Trajectory",
@@ -79,7 +76,6 @@ class NewtonConfig:
     step_tol: float = 1e-14
     max_iters: int = 50
     jacobian: str = "forward_difference"  # or "analytic"
-    fd_step: float | None = None
 
     def __post_init__(self):
         if self.residual_tol <= 0 or self.step_tol <= 0:
@@ -130,7 +126,7 @@ def newton_solve(
         if use_analytic:
             J = np.asarray(jacobian(w), dtype=float)
         else:
-            h = cfg.fd_step or np.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(w))))
+            h = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(w))))
             J = _fd_jacobian(residual, w, r, h)
         try:
             delta = np.linalg.solve(J, -r)
@@ -166,135 +162,89 @@ class StepResult(NamedTuple):
     fallback_used: bool
 
 
-def implicit_euler_step(dae, z, dt: float, cfg: NewtonConfig = NewtonConfig()) -> StepResult:
-    """One step of ``A (z1 - z0) / dt = f(z1)``.
+class _Scheme(NamedTuple):
+    """A scheme bound to its target system.
+
+    ``build(z0, dt)`` returns the Newton residual of one step from ``z0``
+    and an optional analytic Jacobian.  The unknown is the new state
+    followed by ``extra`` auxiliary components.  ``kind`` and ``V`` name
+    the discrete gradient whose midpoint fallback is reported;
+    ``free_null_space`` marks a scheme that leaves the null-space
+    components of a singular mass matrix undetermined.
+    """
+
+    build: Callable
+    extra: int = 0
+    kind: DiscreteGradientKind | None = None
+    V: ScalarField | None = None
+    free_null_space: bool = False
+
+
+def _implicit_euler(dae) -> _Scheme:
+    """``A (z1 - z0) / dt = f(z1)``.
 
     For uniform index-1 systems the result satisfies the implicit
     constraint to solver tolerance, because the constraint equations are a
-    fixed linear combination of the residual rows.
+    fixed linear combination of the residual rows.  An analytic Jacobian
+    is offered when the system has ``f_jacobian``.
     """
-    z = np.asarray(z, dtype=float)
+    if isinstance(dae, LinearGradientDAE):
+        dae = dae.as_general()
+    if not isinstance(dae, GeneralDAE):
+        raise ValueError("scheme 'implicit-euler' needs a system A z' = f(z)")
     A = dae.A
+    f_jacobian = dae.f_jacobian
 
-    def residual(zp):
-        return A @ (zp - z) / dt - np.asarray(dae.f(zp), dtype=float)
+    def build(z, dt):
+        def residual(zp):
+            return A @ (zp - z) / dt - np.asarray(dae.f(zp), dtype=float)
 
-    jac = None
-    f_jacobian = getattr(dae, "f_jacobian", None)
-    if f_jacobian is not None and cfg.jacobian == "analytic":
-        jac = lambda zp: A / dt - np.asarray(f_jacobian(zp), dtype=float)
-    sol = newton_solve(residual, z, cfg, jacobian=jac)
-    return StepResult(sol.w, np.zeros(0), sol.iters, sol.residual_norm, False)
+        if f_jacobian is None:
+            return residual, None
+        return residual, lambda zp: A / dt - np.asarray(f_jacobian(zp), dtype=float)
 
-
-def _averaged_S(dae: LinearGradientDAE, z, zp, mode: str):
-    if mode == "average":
-        return 0.5 * (dae.S(zp) + dae.S(z))
-    if mode == "left":
-        return dae.S(z)
-    raise ValueError(f"unknown structure-matrix average {mode!r}")
+    return _Scheme(build)
 
 
-def dg_step(
-    dae: LinearGradientDAE,
-    kind: DiscreteGradientKind,
-    z,
-    dt: float,
-    cfg: NewtonConfig = NewtonConfig(),
-    s_average: str = "average",
-) -> StepResult:
-    """One step of ``A (z1 - z0) / dt = Sbar(z1, z0) gbar(z1, z0)``.
+def _discrete_gradient(dae, scheme: str) -> _Scheme:
+    """``A (z1 - z0) / dt = Sbar gbar(z1, z0)``, ``Sbar = (S(z1) + S(z0)) / 2``.
 
-    ``Sbar`` averages the structure matrix between the endpoints (or uses
-    the left endpoint).  If ``A`` is singular and the Newton Jacobian
-    comes out singular, the step raises :class:`UnderdeterminedSystem`:
-    the scheme leaves null-space components free and the index-1 scheme
-    should be used instead.
-    """
-    z = np.asarray(z, dtype=float)
-    A = dae.A
-    V = dae.V
-
-    def residual(zp):
-        gbar, _ = discrete_gradient_info(kind, V, zp, z)
-        return A @ (zp - z) / dt - _averaged_S(dae, z, zp, s_average) @ gbar
-
-    try:
-        sol = newton_solve(residual, z, cfg)
-    except SingularJacobian as exc:
-        if dae.subspaces.nullity > 0:
-            raise UnderdeterminedSystem(
-                "singular Jacobian with singular mass matrix: the scheme does not "
-                "determine the null-space components; use the index-1 scheme"
-            ) from exc
-        raise
-    _, fallback = discrete_gradient_info(kind, V, sol.w, z)
-    return StepResult(sol.w, np.zeros(0), sol.iters, sol.residual_norm, fallback)
-
-
-def index1_dg_step(
-    dae: LinearGradientDAE,
-    z,
-    dt: float,
-    cfg: NewtonConfig = NewtonConfig(),
-    s_average: str = "average",
-    kind: DiscreteGradientKind | None = None,
-) -> StepResult:
-    """Interior-division scheme for index-1 systems, with redundancy.
-
-    Solves, for ``(z1, c)`` with ``c`` of length ``nullity(A)``,
+    ``dg-index1`` uses the interior-division gradient and solves, for
+    ``(z1, c)`` with ``c`` of length ``nullity(A)``,
 
         A (z1 - z0) / dt = Sbar gbar_P(z1, z0) + B c ,
         B^T S(z1) grad V(z1) = 0 ,
 
-    where ``B`` spans the orthogonal complement of ``range(A)`` and
-    ``gbar_P`` is the interior-division gradient.  The extra block makes
-    the step land exactly on the constraint manifold; the redundant force
-    ``c`` is zero in exact arithmetic, and its computed size is a solver
-    diagnostic.  A midpoint fallback inside the final gradient evaluation
-    is reported via the result flag and a
-    :class:`FallbackCompromisedConservation` warning.
+    where ``B`` spans the orthogonal complement of ``range(A)``.  The extra
+    block lands every step exactly on the constraint manifold; the
+    redundant force ``c`` is zero in exact arithmetic, and its computed
+    size is a solver diagnostic.
     """
-    z = np.asarray(z, dtype=float)
-    if kind is None:
-        kind = DiscreteGradientKind("proper")
-    elif kind.variant != "proper":
-        raise ValueError("the index-1 scheme is defined for the interior-division gradient")
-    A = dae.A
-    V = dae.V
+    if not isinstance(dae, LinearGradientDAE):
+        raise ValueError(f"scheme {scheme!r} needs a linear-gradient system")
+    index1 = scheme == "dg-index1"
+    kind = DiscreteGradientKind("proper" if index1 else scheme.removeprefix("dg-"))
+    A, V, d = dae.A, dae.V, dae.dim
     B = dae.subspaces.range_perp_basis
-    d = dae.dim
-    ell = B.shape[1]
 
-    def constraint_block(zp):
-        return B.T @ (dae.S(zp) @ np.asarray(V.gradient(zp), dtype=float))
+    def build(z, dt):
+        def residual(w):
+            zp = w[:d]
+            gbar, _ = discrete_gradient_info(kind, V, zp, z)
+            dyn = A @ (zp - z) / dt - 0.5 * (dae.S(zp) + dae.S(z)) @ gbar
+            if not index1:
+                return dyn
+            constraint = B.T @ (dae.S(zp) @ np.asarray(V.gradient(zp), dtype=float))
+            return np.concatenate([dyn - B @ w[d:], constraint])
 
-    def residual(w):
-        zp, c = w[:d], w[d:]
-        gbar, _ = discrete_gradient_info(kind, V, zp, z)
-        dyn = A @ (zp - z) / dt - _averaged_S(dae, z, zp, s_average) @ gbar - B @ c
-        return np.concatenate([dyn, constraint_block(zp)])
+        return residual, None
 
-    w0 = np.concatenate([z, np.zeros(ell)])
-    sol = newton_solve(residual, w0, cfg)
-    z_new, c = sol.w[:d], sol.w[d:]
-    _, fallback = discrete_gradient_info(kind, V, z_new, z)
-    if fallback:
-        warnings.warn(
-            "interior-division gradient fell back to the midpoint form; "
-            "exact conservation is compromised for this step",
-            FallbackCompromisedConservation,
-            stacklevel=2,
-        )
-    return StepResult(z_new, c, sol.iters, sol.residual_norm, fallback)
+    if index1:
+        return _Scheme(build, B.shape[1], kind, V)
+    return _Scheme(build, 0, kind, V, free_null_space=dae.subspaces.nullity > 0)
 
 
-def gonzalez_constrained_step(
-    system: ConstrainedHamiltonian,
-    z,
-    dt: float,
-    cfg: NewtonConfig = NewtonConfig(),
-) -> StepResult:
+def _gonzalez(system) -> _Scheme:
     """Discrete-gradient step for a constrained canonical system.
 
     With state ``(q, p, lam)`` and the midpoint discrete gradient
@@ -310,29 +260,84 @@ def gonzalez_constrained_step(
     flips the sign of any initial constraint violation (so consistent
     initial data stays on the constraint manifold).
     """
+    if not isinstance(system, ConstrainedHamiltonian):
+        raise ValueError("scheme 'gonzalez' needs a constrained canonical system")
+    n, H = system.n, system.hamiltonian
+
+    def build(z, dt):
+        q0, p0, lam0 = z[:n], z[n : 2 * n], z[2 * n :]
+        g0 = system.constraint_values(q0)
+
+        def residual(w):
+            q1, p1, lam1 = w[:n], w[n : 2 * n], w[2 * n :]
+            gbar = midpoint_gradient(H, np.concatenate([q1, p1]), np.concatenate([q0, p0]))
+            lam_mid = 0.5 * (lam1 + lam0)
+            force = np.zeros(n)
+            for j, g in enumerate(system.constraints):
+                force += lam_mid[j] * midpoint_gradient(g, q1, q0)
+            return np.concatenate(
+                [
+                    (q1 - q0) / dt - gbar[n:],
+                    (p1 - p0) / dt + gbar[:n] + force,
+                    0.5 * (system.constraint_values(q1) + g0),
+                ]
+            )
+
+        return residual, None
+
+    return _Scheme(build)
+
+
+def _bind(target, scheme: str) -> _Scheme:
+    if scheme == "implicit-euler":
+        return _implicit_euler(target)
+    if scheme in ("dg-avf", "dg-midpoint", "dg-proper", "dg-index1"):
+        return _discrete_gradient(target, scheme)
+    if scheme == "gonzalez":
+        return _gonzalez(target)
+    raise ValueError(f"unknown scheme {scheme!r}; available: {', '.join(SCHEMES)}")
+
+
+def _advance(bound: _Scheme, z, dt: float, cfg: NewtonConfig) -> StepResult:
     z = np.asarray(z, dtype=float)
-    n, h = system.n, system.h
-    q0, p0, lam0 = z[:n], z[n : 2 * n], z[2 * n :]
-    H = system.hamiltonian
-    g0 = system.constraint_values(q0)
-
-    def residual(w):
-        q1, p1, lam1 = w[:n], w[n : 2 * n], w[2 * n :]
-        gbar = midpoint_gradient(H, np.concatenate([q1, p1]), np.concatenate([q0, p0]))
-        lam_mid = 0.5 * (lam1 + lam0)
-        force = np.zeros(n)
-        for j, g in enumerate(system.constraints):
-            force += lam_mid[j] * midpoint_gradient(g, q1, q0)
-        return np.concatenate(
-            [
-                (q1 - q0) / dt - gbar[n:],
-                (p1 - p0) / dt + gbar[:n] + force,
-                0.5 * (system.constraint_values(q1) + g0),
-            ]
+    residual, jacobian = bound.build(z, dt)
+    w0 = np.concatenate([z, np.zeros(bound.extra)])
+    try:
+        sol = newton_solve(residual, w0, cfg, jacobian=jacobian)
+    except SingularJacobian as exc:
+        if bound.free_null_space:
+            raise UnderdeterminedSystem(
+                "singular Jacobian with singular mass matrix: the scheme does not "
+                "determine the null-space components; use the index-1 scheme"
+            ) from exc
+        raise
+    d = z.shape[0]
+    z_new, c = sol.w[:d], sol.w[d:]
+    fallback = False
+    if bound.kind is not None:
+        _, fallback = discrete_gradient_info(bound.kind, bound.V, z_new, z)
+    if fallback:
+        warnings.warn(
+            "interior-division gradient fell back to the midpoint form; "
+            "exact conservation is compromised for this step",
+            FallbackCompromisedConservation,
+            stacklevel=3,
         )
+    return StepResult(z_new, c, sol.iters, sol.residual_norm, fallback)
 
-    sol = newton_solve(residual, z, cfg)
-    return StepResult(sol.w, np.zeros(0), sol.iters, sol.residual_norm, False)
+
+def step(target, scheme: str, z, dt: float, cfg: NewtonConfig = NewtonConfig()) -> StepResult:
+    """Advance ``target`` by one step of ``scheme`` (one of :data:`SCHEMES`).
+
+    ``target`` is matched to the scheme as in :func:`integrate`; a
+    mismatch or an unknown name raises ``ValueError``.  The Newton guess
+    is ``z`` (with zero redundant force).  A plain discrete-gradient step
+    on a system with singular ``A`` whose Newton Jacobian comes out
+    singular raises :class:`UnderdeterminedSystem`.  A midpoint fallback
+    inside the final gradient evaluation is reported via the result flag
+    and a :class:`FallbackCompromisedConservation` warning.
+    """
+    return _advance(_bind(target, scheme), z, dt, cfg)
 
 
 def project_to_constraint(dae, z0, cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
@@ -401,27 +406,6 @@ def _constraint_norm(target, z: np.ndarray) -> float:
     return float(np.linalg.norm(res)) if res.size else 0.0
 
 
-def _make_stepper(target, scheme: str, cfg: NewtonConfig, s_average: str):
-    if scheme == "implicit-euler":
-        if isinstance(target, LinearGradientDAE):
-            target = target.as_general()
-        return lambda z, dt: implicit_euler_step(target, z, dt, cfg)
-    if scheme in ("dg-avf", "dg-midpoint", "dg-proper"):
-        if not isinstance(target, LinearGradientDAE):
-            raise ValueError(f"scheme {scheme!r} needs a linear-gradient system")
-        kind = DiscreteGradientKind(scheme.removeprefix("dg-"))
-        return lambda z, dt: dg_step(target, kind, z, dt, cfg, s_average)
-    if scheme == "dg-index1":
-        if not isinstance(target, LinearGradientDAE):
-            raise ValueError("scheme 'dg-index1' needs a linear-gradient system")
-        return lambda z, dt: index1_dg_step(target, z, dt, cfg, s_average)
-    if scheme == "gonzalez":
-        if not isinstance(target, ConstrainedHamiltonian):
-            raise ValueError("scheme 'gonzalez' needs a constrained canonical system")
-        return lambda z, dt: gonzalez_constrained_step(target, z, dt, cfg)
-    raise ValueError(f"unknown scheme {scheme!r}; available: {', '.join(SCHEMES)}")
-
-
 def integrate(
     target,
     scheme: str,
@@ -430,7 +414,6 @@ def integrate(
     steps: int,
     observers: Sequence[ScalarField] = (),
     cfg: NewtonConfig = NewtonConfig(),
-    s_average: str = "average",
 ) -> Trajectory:
     """Advance ``target`` by ``steps`` steps of size ``dt``.
 
@@ -446,7 +429,7 @@ def integrate(
         raise ValueError(f"steps must be at least 1, got {steps}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    stepper = _make_stepper(target, scheme, cfg, s_average)
+    bound = _bind(target, scheme)
     z = np.asarray(z0, dtype=float).copy()
     if scheme == "dg-index1":
         z = project_to_constraint(target, z, cfg)
@@ -460,7 +443,7 @@ def integrate(
     )
     for m in range(1, steps + 1):
         try:
-            result = stepper(z, dt)
+            result = _advance(bound, z, dt, cfg)
         except Exception as exc:  # noqa: BLE001 - converted to a typed failure
             raise StepFailure(m, exc, traj) from exc
         z = result.state

@@ -149,14 +149,14 @@ def test_batch_requires_distinct_out_paths(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg_a), "--config", str(cfg_c)) == 1
 
 
-def test_batch_runs_concurrently(tmp_path):
+def test_batch_runs_every_config(tmp_path):
     outs = []
     for i, problem in enumerate(["linear-test", "smhs"]):
         cfg = tmp_path / f"job{i}.cfg"
         out = tmp_path / f"job{i}.csv"
         cfg.write_text(f"problem = {problem}\nsteps = 4\nout = {out}\n")
         outs.append((cfg, out))
-    code = run_cli("run", "--config", str(outs[0][0]), "--config", str(outs[1][0]), "--jobs", "2")
+    code = run_cli("run", "--config", str(outs[0][0]), "--config", str(outs[1][0]))
     assert code == 0
     for _, out in outs:
         assert len(out.read_text().splitlines()) == 6
@@ -169,7 +169,7 @@ def test_batch_exit_code_is_worst_of_jobs(tmp_path):
     bad.write_text(
         f"problem = smhs\nsteps = 5\nnewton-max-iters = 1\nout = {tmp_path/'b.csv'}\n"
     )
-    code = run_cli("run", "--config", str(good), "--config", str(bad), "--jobs", "2")
+    code = run_cli("run", "--config", str(good), "--config", str(bad))
     assert code == 2
 
 
@@ -185,11 +185,6 @@ def test_snapshots_written_alongside_series(tmp_path):
     assert [line.split(",")[0] for line in snap_lines[1:]] == ["0", "5", "10"]
     # snapshots and the series agree on the clock
     assert snap_lines[1].split(",")[1] == out.read_text().splitlines()[1].split(",")[1]
-
-
-def test_jobs_must_be_positive(capsys):
-    assert run_cli("run", "--problem", "smhs", "--jobs", "0") == 1
-    assert "jobs" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- check

@@ -25,12 +25,10 @@ from daegrad.gradients import (
     chain_rule_residual,
     cosh_sum_field,
     convex_quartic_field,
-    discrete_gradient,
     discrete_gradient_info,
     linear_field,
     midpoint_gradient,
     proper_gradient,
-    proper_gradient_info,
     quadratic_field,
     theta_coefficient,
     validate_gradient,
@@ -277,9 +275,9 @@ def test_nonconvex_field_degenerate_denominator():
     z, zp = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     strict = DiscreteGradientKind("proper", fallback_to_midpoint=False)
     with pytest.raises(DegenerateDenominator):
-        discrete_gradient(strict, saddle, z, zp)
+        discrete_gradient_info(strict, saddle, z, zp)
     # the default falls back to the midpoint form and flags it
-    vec, fallback = proper_gradient_info(saddle, z, zp)
+    vec, fallback = discrete_gradient_info(DiscreteGradientKind("proper"), saddle, z, zp)
     assert fallback
     assert np.allclose(vec, midpoint_gradient(saddle, z, zp), atol=1e-14)
 
@@ -303,14 +301,14 @@ def test_discrete_gradient_dispatch_matches_direct_calls():
     V = cosh_sum_field(2)
     z, zp = np.array([0.5, -0.5]), np.array([-0.2, 0.8])
     assert np.allclose(
-        discrete_gradient(DiscreteGradientKind("avf"), V, z, zp), avf_gradient(V, z, zp)
+        discrete_gradient_info(DiscreteGradientKind("avf"), V, z, zp)[0], avf_gradient(V, z, zp)
     )
     assert np.allclose(
-        discrete_gradient(DiscreteGradientKind("midpoint"), V, z, zp),
+        discrete_gradient_info(DiscreteGradientKind("midpoint"), V, z, zp)[0],
         midpoint_gradient(V, z, zp),
     )
     assert np.allclose(
-        discrete_gradient(DiscreteGradientKind("proper"), V, z, zp),
+        discrete_gradient_info(DiscreteGradientKind("proper"), V, z, zp)[0],
         proper_gradient(V, z, zp),
     )
 

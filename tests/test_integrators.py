@@ -12,16 +12,14 @@ from daegrad.errors import (
     StepFailure,
     UnderdeterminedSystem,
 )
-from daegrad.gradients import DiscreteGradientKind, cosh_sum_field, quadratic_field
+import daegrad.integrators as integrators
+from daegrad.gradients import ScalarField, cosh_sum_field, quadratic_field
 from daegrad.integrators import (
     NewtonConfig,
-    dg_step,
-    gonzalez_constrained_step,
-    implicit_euler_step,
-    index1_dg_step,
     integrate,
     newton_solve,
     project_to_constraint,
+    step,
 )
 from daegrad.model import GeneralDAE, LinearGradientDAE
 from daegrad.problems import make_friction, make_problem
@@ -108,7 +106,7 @@ def test_newton_config_validation():
 
 def test_implicit_euler_scalar_decay_closed_form():
     dae = GeneralDAE(np.eye(1), lambda z: -z)
-    out = implicit_euler_step(dae, np.array([1.0]), 0.1, TIGHT)
+    out = step(dae, "implicit-euler", np.array([1.0]), 0.1, TIGHT)
     # (z1 - z0)/dt = -z1  =>  z1 = z0 / (1 + dt)
     assert out.state[0] == pytest.approx(1.0 / 1.1, abs=1e-12)
     assert out.c.size == 0
@@ -128,8 +126,8 @@ def test_implicit_euler_preserves_linear_invariant():
 def test_implicit_euler_analytic_jacobian_matches_fd():
     spec = make_problem("smhs")
     z = spec.default_initial_state
-    fd = implicit_euler_step(spec.dae, z, 0.05, NewtonConfig())
-    an = implicit_euler_step(spec.dae, z, 0.05, NewtonConfig(jacobian="analytic"))
+    fd = step(spec.dae, "implicit-euler", z, 0.05, NewtonConfig())
+    an = step(spec.dae, "implicit-euler", z, 0.05, NewtonConfig(jacobian="analytic"))
     assert np.allclose(fd.state, an.state, atol=1e-9)
 
 
@@ -152,8 +150,7 @@ def test_dg_scalar_step_closed_form(variant):
         np.eye(1), lambda z: -np.eye(1), quadratic_field(np.eye(1)),
         structure_claim="dissipative",
     )
-    kind = DiscreteGradientKind(variant)
-    out = dg_step(dae, kind, np.array([1.0]), 0.1, TIGHT)
+    out = step(dae, f"dg-{variant}", np.array([1.0]), 0.1, TIGHT)
     # quadratic V: every variant reduces to the midpoint average,
     # (z1 - z0)/dt = -(z0 + z1)/2
     assert out.state[0] == pytest.approx((1.0 - 0.05) / (1.0 + 0.05), abs=1e-12)
@@ -210,10 +207,12 @@ def test_dg_underdetermined_null_component_detected():
         structure_claim="none",
     )
     with pytest.raises(UnderdeterminedSystem):
-        dg_step(dae, DiscreteGradientKind("midpoint"), np.array([1.0, 0.3]), 0.1)
+        step(dae, "dg-midpoint", np.array([1.0, 0.3]), 0.1)
 
 
-def test_dg_structure_average_modes_differ_but_both_conserve():
+def test_dg_conserves_with_state_dependent_structure():
+    # the rotation speed 1 + z0^2 varies along the orbit, so the averaged
+    # structure matrix differs from both endpoint values at every step
     def S(z):
         w = 1.0 + z[0] ** 2
         return np.array([[0.0, w], [-w, 0.0]])
@@ -221,14 +220,11 @@ def test_dg_structure_average_modes_differ_but_both_conserve():
     dae = LinearGradientDAE(np.eye(2), S, quadratic_field(np.eye(2), name="V"),
                             structure_claim="conservative")
     z0 = np.array([1.0, 0.0])
-    kind = DiscreteGradientKind("midpoint")
-    avg = dg_step(dae, kind, z0, 0.4, TIGHT, s_average="average")
-    left = dg_step(dae, kind, z0, 0.4, TIGHT, s_average="left")
-    assert np.linalg.norm(avg.state - left.state) > 1e-6
-    for out in (avg, left):
-        assert 0.5 * out.state @ out.state == pytest.approx(0.5 * z0 @ z0, abs=1e-12)
-    with pytest.raises(ValueError):
-        dg_step(dae, kind, z0, 0.2, TIGHT, s_average="trapezoid")
+    for scheme in ("dg-avf", "dg-midpoint", "dg-proper"):
+        traj = integrate(dae, scheme, z0, 0.4, 10, observers=(dae.V,), cfg=TIGHT)
+        V = traj.invariant_series("V")
+        assert np.abs(V - V[0]).max() <= 1e-12
+        assert np.ptp(traj.states()[:, 0] ** 2) > 0.5  # S really changes
 
 
 def test_dg_midpoint_second_order_convergence():
@@ -259,23 +255,17 @@ def test_index1_step_enforces_constraint_and_energy():
     assert max(c_norms) <= 1e-10
 
 
-def test_index1_rejects_other_gradient_kinds():
-    spec = make_problem("sinh-gordon", grid=8)
-    with pytest.raises(ValueError):
-        index1_dg_step(
-            spec.dae, spec.default_initial_state, 0.1,
-            kind=DiscreteGradientKind("avf"),
-        )
-
-
 def test_index1_fallback_warns_about_conservation():
-    spec = make_problem("sinh-gordon", grid=8)
-    # an absurd degeneracy threshold forces the midpoint fallback on
-    # every evaluation, which must be reported loudly
-    kind = DiscreteGradientKind("proper", denominator_tol=1e30)
+    # a linear V declared "general" has a zero curvature term, which
+    # forces the midpoint fallback; it must be reported loudly
+    gamma = np.array([1.0, 2.0])
+    V = ScalarField(dim=2, value=lambda z: float(gamma @ z),
+                    gradient=lambda z: gamma.copy(), hint="general", name="V")
+    dae = LinearGradientDAE(np.eye(2), rotation_system().S, V, structure_claim="conservative")
     with pytest.warns(FallbackCompromisedConservation):
-        out = index1_dg_step(spec.dae, spec.default_initial_state, 0.1, TIGHT, kind=kind)
+        out = step(dae, "dg-index1", np.array([1.0, 0.0]), 0.1, TIGHT)
     assert out.fallback_used
+    assert V.value(out.state) == pytest.approx(V.value(np.array([1.0, 0.0])), abs=1e-12)
 
 
 # ------------------------------------------------------ constrained step
@@ -297,11 +287,64 @@ def test_gonzalez_conserves_energy_and_constraint():
 def test_gonzalez_reflects_initial_constraint_violation():
     spec = make_problem("pendulum")
     z0 = np.array([1.1, 0.0, 0.0, 0.0, 0.0])  # |q| != 1
-    out = gonzalez_constrained_step(spec.gonzalez, z0, 0.1, TIGHT)
+    out = step(spec.gonzalez, "gonzalez", z0, 0.1, TIGHT)
     q1 = out.state[:2]
     g1 = 0.5 * (q1 @ q1 - 1.0)
     # the scheme enforces g(q1) = -g(q0)
     assert g1 == pytest.approx(-0.105, abs=1e-10)
+
+
+# ---------------------------------------------------------- single step
+
+
+@pytest.mark.parametrize(
+    "target, scheme",
+    [
+        ("general", "dg-avf"),
+        ("general", "dg-midpoint"),
+        ("general", "dg-proper"),
+        ("general", "dg-index1"),
+        ("constrained", "dg-avf"),
+        ("constrained", "dg-index1"),
+        ("general", "gonzalez"),
+        ("linear", "gonzalez"),
+        ("constrained", "implicit-euler"),
+        ("linear", "leapfrog"),
+    ],
+)
+def test_step_rejects_mismatched_or_unknown_scheme(target, scheme):
+    system = {
+        "general": make_problem("smhs").dae,
+        "linear": rotation_system(),
+        "constrained": make_problem("pendulum").gonzalez,
+    }[target]
+    with pytest.raises(ValueError):
+        step(system, scheme, np.zeros(5), 0.1)
+
+
+def test_step_looks_up_discrete_gradient_at_call_time(monkeypatch):
+    # one gradient per residual evaluation plus the fallback check on the
+    # accepted state, all through the module attribute
+    dg_calls, residual_calls = [], []
+    real_dg, real_newton = integrators.discrete_gradient_info, integrators.newton_solve
+
+    def counting_dg(*args):
+        dg_calls.append(args[0].variant)
+        return real_dg(*args)
+
+    def counting_newton(residual, w0, *args, **kwargs):
+        def counted(w):
+            residual_calls.append(1)
+            return residual(w)
+
+        return real_newton(counted, w0, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "discrete_gradient_info", counting_dg)
+    monkeypatch.setattr(integrators, "newton_solve", counting_newton)
+    out = step(rotation_system(), "dg-avf", np.array([1.0, 0.0]), 0.1, TIGHT)
+    assert out.newton_iters >= 1
+    assert set(dg_calls) == {"avf"}
+    assert len(dg_calls) == len(residual_calls) + 1
 
 
 # ------------------------------------------------------------ projection

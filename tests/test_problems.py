@@ -110,8 +110,8 @@ def test_smhs_default_state_is_nontrivial():
 def test_smhs_factored_form_supports_energy_conservation():
     # wrap the reconstructed structure matrix into a gradient system and
     # check one discrete-gradient step holds H fixed
-    from daegrad.gradients import DiscreteGradientKind, quadratic_field
-    from daegrad.integrators import NewtonConfig, dg_step
+    from daegrad.gradients import quadratic_field
+    from daegrad.integrators import NewtonConfig, step
     from daegrad.model import LinearGradientDAE, build_conservative_S
 
     spec = make_smhs()
@@ -120,8 +120,7 @@ def test_smhs_factored_form_supports_energy_conservation():
     S = build_conservative_S(spec.dae, H)
     factored = LinearGradientDAE(spec.dae.A, S, H, structure_claim="conservative")
     z0 = spec.default_initial_state
-    out = dg_step(factored, DiscreteGradientKind("midpoint"), z0, 0.05,
-                  NewtonConfig(residual_tol=1e-13))
+    out = step(factored, "dg-midpoint", z0, 0.05, NewtonConfig(residual_tol=1e-13))
     assert H.value(out.state) == pytest.approx(H.value(z0), abs=1e-11)
 
 
