@@ -5,15 +5,19 @@ Two subcommands:
 * ``run`` integrates a built-in problem with one of the schemes and writes
   a CSV time series (stdout unless ``--out`` is given).  Mid-run solver
   failures keep the partial CSV, append ``# failed at step N``, and exit
-  with status 2; bad names or unwritable paths exit with status 1.
+  with status 2; any bad invocation (unknown flag, bad flag value, bad
+  name, unwritable path) exits with status 1.
 * ``check`` prints a structure report for a problem: mass-matrix rank and
   pseudoinverse quality, properness of each named invariant at sampled
   on-manifold states, and the conservative/dissipative verdict.
 
-Configuration may come from flat ``key = value`` files (``--config``,
-repeatable; ``#`` starts a comment).  Explicit flags override file values.
-Several config files form a batch that runs one after another, each
-writing its own output file.
+Every ``run`` option, with its type, default and range, is defined once in
+:func:`build_parser`.  Configuration may also come from flat
+``key = value`` files (``--config``, repeatable; ``#`` starts a comment):
+each line becomes the token ``--key=value`` (keys take ``-`` or ``_``)
+placed before the command-line tokens, so explicit flags override file
+values.  Several config files form a batch that runs one after another,
+each writing its own output file.
 
 The CSV layout is fixed: ``step,t,V,V_err,constraint_norm,c_norm,
 newton_iters,newton_residual`` followed by one column per extra invariant
@@ -26,7 +30,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,62 +40,45 @@ from .linalg import penrose_residuals
 from .model import LinearGradientDAE, check_proper, verify_structure
 from .problems import PROBLEM_NAMES, ProblemSpec, make_problem
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 class CliError(Exception):
     """Invalid invocation; the message goes to stderr and the exit code is 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved parameters for one ``run`` invocation."""
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as :class:`CliError`; subparsers inherit this."""
 
-    problem: str
-    scheme: str | None
-    dt: float
-    steps: int
-    grid: int | None
-    newton_tol: float
-    newton_max_iters: int
-    out: str | None
-    snapshot_every: int | None
-    seed: int
+    def error(self, message):
+        raise CliError(message)
 
 
-_RUN_DEFAULTS = {
-    "problem": None,
-    "scheme": None,
-    "dt": 0.1,
-    "steps": 100,
-    "grid": None,
-    "newton_tol": 1e-12,
-    "newton_max_iters": 50,
-    "out": None,
-    "snapshot_every": None,
-    "seed": 0,
-}
-_INT_KEYS = frozenset({"steps", "grid", "newton_max_iters", "snapshot_every", "seed"})
-_FLOAT_KEYS = frozenset({"dt", "newton_tol"})
+def _positive(kind):
+    """An argparse ``type`` that parses with ``kind`` and requires ``> 0``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _coerce(key: str, text: str, where: str) -> object:
-    try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-    except ValueError:
-        raise CliError(f"{where}: bad value {text!r} for {key!r}") from None
-    return text
+def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """One ``--key=value`` token per ``key = value`` line of a config file.
 
-
-def _parse_config_file(path: str) -> dict[str, object]:
+    Each token is checked on its own with the ``run`` parser, so a bad
+    value is reported with its file and line.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, object] = {}
+    keys = set(vars(parser.parse_args(["run"]))) - {"command", "config"}
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,37 +86,38 @@ def _parse_config_file(path: str) -> dict[str, object]:
         key, sep, value = line.partition("=")
         if not sep:
             raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key = key.strip().replace("-", "_")
-        if key not in _RUN_DEFAULTS:
+        key = key.strip()
+        if key.replace("-", "_") not in keys:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, value.strip(), f"{path}:{lineno}")
-    return values
+        token = f"--{key.replace('_', '-')}={value.strip()}"
+        try:
+            parser.parse_args(["run", token])
+        except CliError as exc:
+            raise CliError(f"{path}:{lineno}: bad value: {exc}") from None
+        tokens.append(token)
+    return tokens
 
 
-def _merge_run_config(args: argparse.Namespace, file_values: dict[str, object]) -> RunConfig:
-    merged = dict(_RUN_DEFAULTS)
-    merged.update(file_values)
-    for key in _RUN_DEFAULTS:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            merged[key] = flag_value
-    if merged["problem"] is None:
-        raise CliError("no problem selected (pass --problem or set it in a config file)")
-    config = RunConfig(**merged)
-    if not config.dt > 0:
-        raise CliError(f"dt must be positive, got {config.dt}")
-    if config.steps < 1:
-        raise CliError(f"steps must be at least 1, got {config.steps}")
-    if not config.newton_tol > 0:
-        raise CliError(f"newton-tol must be positive, got {config.newton_tol}")
-    if config.newton_max_iters < 1:
-        raise CliError(f"newton-max-iters must be at least 1, got {config.newton_max_iters}")
-    if config.snapshot_every is not None:
-        if config.snapshot_every < 1:
-            raise CliError(f"snapshot-every must be at least 1, got {config.snapshot_every}")
-        if config.out is None:
+def _run_invocations(parser: argparse.ArgumentParser, argv: list[str], paths: list[str]):
+    """The resolved ``run`` namespaces: one per config file, or one without.
+
+    Config-file tokens go before the command-line ones, so flags win.
+    """
+    at = argv.index("run") + 1
+    file_tokens = [_config_tokens(parser, path) for path in paths] or [[]]
+    runs = [parser.parse_args(argv[:at] + tokens + argv[at:]) for tokens in file_tokens]
+    for args in runs:
+        if args.problem is None:
+            raise CliError("no problem selected (pass --problem or set it in a config file)")
+        if args.snapshot_every is not None and args.out is None:
             raise CliError("--snapshot-every needs --out (snapshots go to <out>.states.csv)")
-    return config
+    if len(runs) > 1:
+        outs = [args.out for args in runs]
+        if None in outs:
+            raise CliError("every config in a batch needs its own 'out' path")
+        if len(set(outs)) != len(outs):
+            raise CliError("batch configs must write to distinct 'out' paths")
+    return runs
 
 
 def _format_float(x: float) -> str:
@@ -188,16 +175,16 @@ def _write_text(path: str, rows: list[str]) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _execute_run(config: RunConfig) -> int:
+def _execute_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
-        spec = make_problem(config.problem, grid=config.grid, seed=config.seed)
+        spec = make_problem(args.problem, grid=args.grid, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    scheme = config.scheme or spec.recommended_scheme
+    scheme = args.scheme or spec.recommended_scheme
     target = spec.gonzalez if scheme == "gonzalez" else spec.dae
-    newton_cfg = NewtonConfig(residual_tol=config.newton_tol, max_iters=config.newton_max_iters)
+    newton_cfg = NewtonConfig(residual_tol=args.newton_tol, max_iters=args.newton_max_iters)
 
     failure: StepFailure | None = None
     try:
@@ -205,8 +192,8 @@ def _execute_run(config: RunConfig) -> int:
             target,
             scheme,
             spec.default_initial_state,
-            config.dt,
-            config.steps,
+            args.dt,
+            args.steps,
             observers=spec.observers,
             cfg=newton_cfg,
         )
@@ -220,36 +207,22 @@ def _execute_run(config: RunConfig) -> int:
     rows = _csv_rows(spec, traj)
     if failure is not None:
         rows.append(f"# failed at step {failure.step_index}")
-    if config.out is None:
+    if args.out is None:
         sys.stdout.write("\n".join(rows) + "\n")
     else:
-        _write_text(config.out, rows)
-    if config.snapshot_every is not None:
-        _write_text(f"{config.out}.states.csv", _snapshot_rows(traj, config.snapshot_every))
+        _write_text(args.out, rows)
+    if args.snapshot_every is not None:
+        _write_text(f"{args.out}.states.csv", _snapshot_rows(traj, args.snapshot_every))
 
     elapsed = time.perf_counter() - started
     print(
-        f"# elapsed: {elapsed:.3f} s ({config.problem}/{scheme}, {len(traj) - 1} steps recorded)",
+        f"# elapsed: {elapsed:.3f} s ({args.problem}/{scheme}, {len(traj) - 1} steps recorded)",
         file=sys.stderr,
     )
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return 2
     return 0
-
-
-def _run_command(args: argparse.Namespace) -> int:
-    if args.config:
-        configs = [_merge_run_config(args, _parse_config_file(path)) for path in args.config]
-    else:
-        configs = [_merge_run_config(args, {})]
-    if len(configs) > 1:
-        outs = [c.out for c in configs]
-        if None in outs:
-            raise CliError("every config in a batch needs its own 'out' path")
-        if len(set(outs)) != len(outs):
-            raise CliError("batch configs must write to distinct 'out' paths")
-    return max(_execute_run(config) for config in configs)
 
 
 def _check_command(problem: str, grid: int | None, seed: int) -> int:
@@ -299,7 +272,7 @@ def _check_command(problem: str, grid: int | None, seed: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="daegrad",
         description="Structure-preserving integrators for DAEs with conservation laws.",
     )
@@ -307,29 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="integrate a problem and write a CSV time series")
     run_p.add_argument("--problem", help=f"one of: {', '.join(PROBLEM_NAMES)}")
-    run_p.add_argument(
-        "--scheme",
-        help=f"one of: {', '.join(SCHEMES)} (default: the problem's recommendation)",
-    )
-    run_p.add_argument("--dt", type=float, help="time step (default 0.1)")
-    run_p.add_argument("--steps", type=int, help="number of steps (default 100)")
+    run_p.add_argument("--scheme", help=f"one of: {', '.join(SCHEMES)} (default: the problem's recommendation)")
+    run_p.add_argument("--dt", type=_positive(float), default=0.1, help="time step (default %(default)s)")
+    run_p.add_argument("--steps", type=_positive(int), default=100, help="number of steps (default %(default)s)")
     run_p.add_argument("--grid", type=int, help="grid size for spatial problems")
-    run_p.add_argument("--newton-tol", type=float, dest="newton_tol", help="Newton residual tolerance (default 1e-12)")
-    run_p.add_argument("--newton-max-iters", type=int, dest="newton_max_iters", help="Newton iteration cap (default 50)")
+    run_p.add_argument("--newton-tol", type=_positive(float), default=1e-12, help="Newton residual tolerance (default %(default)s)")
+    run_p.add_argument("--newton-max-iters", type=_positive(int), default=50, help="Newton iteration cap (default %(default)s)")
     run_p.add_argument("--out", help="CSV output path (default: stdout)")
-    run_p.add_argument(
-        "--snapshot-every",
-        type=int,
-        dest="snapshot_every",
-        help="also write full states every N steps to <out>.states.csv",
-    )
-    run_p.add_argument("--seed", type=int, help="seed for randomized fixtures (default 0)")
+    run_p.add_argument("--snapshot-every", type=_positive(int), help="also write full states every N steps to <out>.states.csv")
+    run_p.add_argument("--seed", type=int, default=0, help="seed for randomized fixtures (default %(default)s)")
     run_p.add_argument(
         "--config",
         action="append",
         default=[],
         metavar="PATH",
-        help="flat 'key = value' config file; repeatable, flags override",
+        help="flat 'key = value' config file (keys are the flag names, with - or _); "
+        "repeatable, flags override",
     )
 
     check_p = sub.add_parser("check", help="print a structure report for a problem")
@@ -340,11 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
+        args = parser.parse_args(argv)
         if args.command == "check":
             return _check_command(args.problem, args.grid, args.seed)
-        return _run_command(args)
+        return max(_execute_run(run) for run in _run_invocations(parser, argv, args.config))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

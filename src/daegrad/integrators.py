@@ -66,6 +66,7 @@ SCHEMES = (
 )
 
 _MAX_HALVINGS = 20
+_STEP_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,12 @@ class NewtonConfig:
     """Stopping rules and Jacobian policy for the Newton iteration."""
 
     residual_tol: float = 1e-12
-    step_tol: float = 1e-14
     max_iters: int = 50
     jacobian: str = "forward_difference"  # or "analytic"
 
     def __post_init__(self):
-        if self.residual_tol <= 0 or self.step_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.residual_tol <= 0:
+            raise ValueError("residual_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.jacobian not in ("forward_difference", "analytic"):
@@ -112,7 +112,7 @@ def newton_solve(
     Success means ``||residual||_inf <= cfg.residual_tol``.  Full steps
     that increase the residual norm are halved up to 20 times; if no
     halving helps, or ``max_iters`` is exhausted, or the step stagnates
-    below ``step_tol`` without meeting the tolerance, raises
+    below a relative ``1e-14`` without meeting the tolerance, raises
     :class:`NoConvergence`.  A Jacobian that cannot be solved raises
     :class:`SingularJacobian`.
     """
@@ -146,8 +146,8 @@ def newton_solve(
         w, r, rnorm = w_new, r_new, rnorm_new
         if rnorm <= cfg.residual_tol:
             return NewtonResult(w, it, rnorm)
-        if step_size <= cfg.step_tol * (1.0 + float(np.max(np.abs(w)))):
-            raise NoConvergence(it, rnorm, "step stagnated below step_tol")
+        if step_size <= _STEP_TOL * (1.0 + float(np.max(np.abs(w)))):
+            raise NoConvergence(it, rnorm, "step stagnated")
     raise NoConvergence(cfg.max_iters, rnorm)
 
 
@@ -168,7 +168,8 @@ class _Scheme(NamedTuple):
     ``build(z0, dt)`` returns the Newton residual of one step from ``z0``
     and an optional analytic Jacobian.  The unknown is the new state
     followed by ``extra`` auxiliary components.  ``kind`` and ``V`` name
-    the discrete gradient whose midpoint fallback is reported;
+    the interior-division gradient whose midpoint fallback is reported
+    (``kind`` is None for gradients that cannot fall back);
     ``free_null_space`` marks a scheme that leaves the null-space
     components of a singular mass matrix undetermined.
     """
@@ -228,20 +229,24 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     B = dae.subspaces.range_perp_basis
 
     def build(z, dt):
+        S0 = dae.S(z)
+
         def residual(w):
             zp = w[:d]
             gbar, _ = discrete_gradient_info(kind, V, zp, z)
-            dyn = A @ (zp - z) / dt - 0.5 * (dae.S(zp) + dae.S(z)) @ gbar
+            S1 = dae.S(zp)
+            dyn = A @ (zp - z) / dt - 0.5 * (S1 + S0) @ gbar
             if not index1:
                 return dyn
-            constraint = B.T @ (dae.S(zp) @ np.asarray(V.gradient(zp), dtype=float))
+            constraint = B.T @ (S1 @ np.asarray(V.gradient(zp), dtype=float))
             return np.concatenate([dyn - B @ w[d:], constraint])
 
         return residual, None
 
     if index1:
         return _Scheme(build, B.shape[1], kind, V)
-    return _Scheme(build, 0, kind, V, free_null_space=dae.subspaces.nullity > 0)
+    fallback_kind = kind if kind.variant == "proper" else None
+    return _Scheme(build, 0, fallback_kind, V, free_null_space=dae.subspaces.nullity > 0)
 
 
 def _gonzalez(system) -> _Scheme:

@@ -67,12 +67,8 @@ class ProblemSpec:
 
     @property
     def observers(self) -> tuple[ScalarField, ...]:
-        """Primary plus extra invariants, deduplicated by name."""
-        seen: dict[str, ScalarField] = {}
-        for field in (self.primary_invariant,) + self.extra_invariants:
-            if field.name not in seen:
-                seen[field.name] = field
-        return tuple(seen.values())
+        """Primary plus extra invariants."""
+        return (self.primary_invariant,) + self.extra_invariants
 
 
 def make_smhs(seed: int = 0) -> ProblemSpec:
@@ -337,8 +333,8 @@ def make_mixed_derivative(grid: int = 32, length: float = 2.0 * math.pi, amplitu
         name="sinh-gordon",
         dae=dae,
         primary_invariant=H,
-        extra_invariants=(H, F),
-        err_tracked=frozenset({"H"}),
+        extra_invariants=(F,),
+        err_tracked=frozenset(),
         default_initial_state=u0,
         recommended_scheme="dg-index1",
         index_note="uniform index-1",

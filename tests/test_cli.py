@@ -6,6 +6,7 @@ import pytest
 from daegrad.cli import main
 
 SMHS_HEADER = "step,t,V,V_err,constraint_norm,c_norm,newton_iters,newton_residual,H,H_err,g"
+SINH_GORDON_HEADER = "step,t,V,V_err,constraint_norm,c_norm,newton_iters,newton_residual,F"
 
 
 def run_cli(*argv):
@@ -41,6 +42,7 @@ def test_run_is_byte_deterministic(tmp_path):
     assert run_cli(*argv, "--out", str(a)) == 0
     assert run_cli(*argv, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert a.read_text().splitlines()[0] == SINH_GORDON_HEADER  # V is H; no duplicate column
 
 
 def test_run_defaults_to_stdout(capsys):
@@ -71,6 +73,10 @@ def test_run_scheme_defaults_to_recommendation(tmp_path, capsys):
         ("run", "--problem", "smhs", "--snapshot-every", "5"),  # needs --out
         ("run", "--problem", "linear-test", "--scheme", "gonzalez"),
         ("run",),  # no problem anywhere
+        ("run", "--problem", "smhs", "--steps", "eight"),
+        ("run", "--problem", "smhs", "--bogus", "1"),
+        ("run", "--problem", "smhs", "--newton-tol", "0"),
+        (),  # no subcommand
     ],
 )
 def test_bad_invocations_exit_one(argv, capsys, tmp_path):
@@ -121,6 +127,7 @@ def test_config_file_supplies_values_and_flags_override(tmp_path):
         ("wibble = 3\n", "unknown key"),
         ("steps eight\n", "expected 'key = value'"),
         ("steps = eight\n", "bad value"),
+        ("dt = -0.5\n", "bad value"),  # file values get the flags' range checks
     ],
 )
 def test_malformed_config_exits_one(tmp_path, capsys, content, fragment):

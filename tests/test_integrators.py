@@ -323,8 +323,9 @@ def test_step_rejects_mismatched_or_unknown_scheme(target, scheme):
 
 
 def test_step_looks_up_discrete_gradient_at_call_time(monkeypatch):
-    # one gradient per residual evaluation plus the fallback check on the
-    # accepted state, all through the module attribute
+    # one gradient per residual evaluation, plus the fallback check on the
+    # accepted state for the interior-division gradient (the only one that
+    # can fall back), all through the module attribute
     dg_calls, residual_calls = [], []
     real_dg, real_newton = integrators.discrete_gradient_info, integrators.newton_solve
 
@@ -341,10 +342,13 @@ def test_step_looks_up_discrete_gradient_at_call_time(monkeypatch):
 
     monkeypatch.setattr(integrators, "discrete_gradient_info", counting_dg)
     monkeypatch.setattr(integrators, "newton_solve", counting_newton)
-    out = step(rotation_system(), "dg-avf", np.array([1.0, 0.0]), 0.1, TIGHT)
-    assert out.newton_iters >= 1
-    assert set(dg_calls) == {"avf"}
-    assert len(dg_calls) == len(residual_calls) + 1
+    for scheme, variant, fallback_checks in [("dg-avf", "avf", 0), ("dg-proper", "proper", 1)]:
+        dg_calls.clear()
+        residual_calls.clear()
+        out = step(rotation_system(), scheme, np.array([1.0, 0.0]), 0.1, TIGHT)
+        assert out.newton_iters >= 1
+        assert set(dg_calls) == {variant}
+        assert len(dg_calls) == len(residual_calls) + fallback_checks
 
 
 # ------------------------------------------------------------ projection

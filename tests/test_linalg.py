@@ -8,7 +8,7 @@ A^+ = (P^2 - I)/3 exactly.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daegrad.linalg import (
@@ -85,14 +85,16 @@ def test_pinv_agrees_with_reference_implementation():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
+@example(dim=2, seed=181917)  # condition number ~1200; failed a bound in ||A|| alone
 def test_penrose_identities_hold(dim, seed):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(dim, dim))
     if seed % 2 == 0 and dim > 1:
         A[dim - 1] = A[0]  # force rank deficiency
     sub = pseudo_inverse(A)
-    norm = np.linalg.norm(A)
-    assert max(penrose_residuals(A, sub.pinv)) <= 1e-11 * max(norm, 1.0)
+    # rounding in P A P = P grows with ||A^+|| as well as with ||A||
+    scale = max(np.linalg.norm(A), 1.0) * max(np.linalg.norm(sub.pinv), 1.0)
+    assert max(penrose_residuals(A, sub.pinv)) <= 1e-11 * scale
 
 
 @settings(max_examples=40, deadline=None)
