@@ -316,7 +316,5 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except SystemExit as exc:  # only -h gets here: error() raises CliError
+        return exc.code

@@ -9,14 +9,16 @@ satisfies the discrete chain rule
 Three constructions are provided:
 
 * ``avf_gradient`` - the average of ``grad V`` along the segment from
-  ``z'`` to ``z``, evaluated by Gauss-Legendre quadrature;
+  ``z'`` to ``z``, evaluated by 7-node Gauss-Legendre quadrature;
 * ``midpoint_gradient`` - the midpoint gradient plus a rank-one
   correction along ``z - z'`` that enforces the chain rule exactly;
 * ``proper_gradient`` - an interior division of the endpoint gradients,
   ``theta * grad V(z) + (1 - theta) * grad V(z')``.  Its distinguishing
   feature is that the result stays inside the span of endpoint gradients,
   which is what lets one-step schemes inherit constraint invariance from
-  the continuous system.
+  the continuous system.  Where the curvature term is degenerate it falls
+  back to the midpoint gradient, and :func:`discrete_gradient_info` flags
+  that fallback.
 
 The interior-division coefficient ``theta(z, z')`` is the ratio of the
 one-sided divergence ``V(z) - V(z') - <grad V(z'), z - z'>`` to the
@@ -25,13 +27,15 @@ one-sided divergences sum to the curvature term, so the coefficients for
 ``(z, z')`` and ``(z', z)`` always sum to one.  For quadratic fields the
 coefficient is exactly one half and the construction coincides with the
 average vector field.
+
+The policy is fixed: none of the constructions takes a tuning parameter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -58,6 +62,10 @@ _HINTS = ("quadratic", "strictly_convex", "general")
 
 #: points whose distance is below this (scaled) threshold are treated as equal
 COINCIDENCE_RTOL = 1e-14
+
+# the interior-division curvature term counts as degenerate below this
+# multiple of |z - z'|^2
+_DENOMINATOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -224,23 +232,14 @@ def validate_gradient(field: ScalarField, points, rtol: float = 1e-5) -> float:
 class DiscreteGradientKind:
     """Selector for a discrete-gradient construction.
 
-    ``variant`` is one of ``"avf"``, ``"midpoint"``, ``"proper"``.  The
-    quadrature order applies to the AVF variant; the denominator tolerance
-    and midpoint fallback apply to the interior-division variant.
+    ``variant`` is one of ``"avf"``, ``"midpoint"``, ``"proper"``.
     """
 
     variant: str
-    quadrature_order: int = 7
-    denominator_tol: float = 1e-10
-    fallback_to_midpoint: bool = True
 
     def __post_init__(self):
         if self.variant not in ("avf", "midpoint", "proper"):
             raise ValueError(f"unknown discrete-gradient variant {self.variant!r}")
-        if self.quadrature_order < 2:
-            raise ValueError("quadrature_order must be at least 2")
-        if not self.denominator_tol > 0:
-            raise ValueError("denominator_tol must be positive")
 
 
 def _coincide(z: np.ndarray, zp: np.ndarray) -> bool:
@@ -259,26 +258,24 @@ def _as_pair(V: ScalarField, z, zp) -> tuple[np.ndarray, np.ndarray]:
     return z, zp
 
 
-@lru_cache(maxsize=None)
-def _unit_interval_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+@cache
+def _avf_rule() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use, so that ``import daegrad`` need not load numpy.polynomial
+    nodes, weights = np.polynomial.legendre.leggauss(7)
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def avf_gradient(V: ScalarField, z, zp, order: int = 7) -> np.ndarray:
+def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
     """Average of ``grad V`` over the segment from ``zp`` to ``z``.
 
-    Gauss-Legendre quadrature with ``order`` nodes, exact for polynomial
-    ``V`` of degree up to ``2 * order - 1``.
+    7-node Gauss-Legendre quadrature, exact for polynomial ``V`` of degree
+    up to 13.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be at least 1")
     z, zp = _as_pair(V, z, zp)
     if np.array_equal(z, zp):
         return np.asarray(V.gradient(z), dtype=float)
-    xi, w = _unit_interval_rule(order)
     acc = np.zeros_like(z)
-    for x, wx in zip(xi, w):
+    for x, wx in zip(*_avf_rule()):
         acc += wx * np.asarray(V.gradient(zp + x * (z - zp)), dtype=float)
     return acc
 
@@ -309,20 +306,20 @@ def _divergence_pair(V: ScalarField, z, zp) -> tuple[float, float]:
     return d1, den - d1
 
 
-def _theta_pair(V: ScalarField, z, zp, denominator_tol: float) -> tuple[float, float]:
+def _theta_pair(V: ScalarField, z, zp) -> tuple[float, float]:
     if V.hint == "quadratic":
         return 0.5, 0.5
     d1, d2 = _divergence_pair(V, z, zp)
     den = d1 + d2
     delta = z - zp
-    if abs(den) <= denominator_tol * float(delta @ delta):
+    if abs(den) <= _DENOMINATOR_TOL * float(delta @ delta):
         raise DegenerateDenominator(
             f"curvature term {den:.3e} below tolerance for |z - z'|^2 = {float(delta @ delta):.3e}"
         )
     return d1 / den, d2 / den
 
 
-def theta_coefficient(V: ScalarField, z, zp, denominator_tol: float = 1e-10) -> float:
+def theta_coefficient(V: ScalarField, z, zp) -> float:
     """Interior-division coefficient ``theta(z, z')``.
 
     Requires ``z != z'``.  Short-circuits to exactly one half for fields
@@ -332,27 +329,18 @@ def theta_coefficient(V: ScalarField, z, zp, denominator_tol: float = 1e-10) -> 
     z, zp = _as_pair(V, z, zp)
     if _coincide(z, zp):
         raise ValueError("theta_coefficient requires distinct points")
-    return _theta_pair(V, z, zp, denominator_tol)[0]
+    return _theta_pair(V, z, zp)[0]
 
 
-def proper_gradient(
-    V: ScalarField,
-    z,
-    zp,
-    denominator_tol: float = 1e-10,
-    fallback: bool = True,
-) -> np.ndarray:
+def proper_gradient(V: ScalarField, z, zp) -> np.ndarray:
     """Discrete gradient ``theta(z,z') grad V(z) + theta(z',z) grad V(z')``.
 
     Coincident points (within ``1e-14 * max(1, ||z||)``) return the exact
-    gradient.  A degenerate curvature term either raises or, with
-    ``fallback=True``, silently yields the midpoint gradient; use
-    :func:`discrete_gradient_info` to observe which branch was taken.
+    gradient.  A degenerate curvature term yields the midpoint gradient
+    instead; use :func:`discrete_gradient_info` to observe which branch was
+    taken.
     """
-    kind = DiscreteGradientKind(
-        "proper", denominator_tol=denominator_tol, fallback_to_midpoint=fallback
-    )
-    return discrete_gradient_info(kind, V, z, zp)[0]
+    return discrete_gradient_info(DiscreteGradientKind("proper"), V, z, zp)[0]
 
 
 def discrete_gradient_info(
@@ -360,17 +348,15 @@ def discrete_gradient_info(
 ) -> tuple[np.ndarray, bool]:
     """Evaluate the selected discrete gradient; flags midpoint fallbacks."""
     if kind.variant == "avf":
-        return avf_gradient(V, z, zp, order=kind.quadrature_order), False
+        return avf_gradient(V, z, zp), False
     if kind.variant == "midpoint":
         return midpoint_gradient(V, z, zp), False
     z, zp = _as_pair(V, z, zp)
     if _coincide(z, zp):
         return np.asarray(V.gradient(z), dtype=float), False
     try:
-        t1, t2 = _theta_pair(V, z, zp, kind.denominator_tol)
+        t1, t2 = _theta_pair(V, z, zp)
     except DegenerateDenominator:
-        if not kind.fallback_to_midpoint:
-            raise
         return midpoint_gradient(V, z, zp), True
     g1 = np.asarray(V.gradient(z), dtype=float)
     g2 = np.asarray(V.gradient(zp), dtype=float)

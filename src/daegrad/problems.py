@@ -10,11 +10,13 @@ Problems (CLI names in parentheses):
   singular incidence-like mass matrix and three functionally dependent
   conserved quantities: a quadratic proper one, a linear non-proper one,
   and their sum, which is the constraint.
-* ``make_constrained_hamiltonian`` ("pendulum") - the planar pendulum as
-  a canonical system with one holonomic constraint, in augmented
-  ``(q, p, lambda)`` form.
-* ``make_friction`` ("friction") - the pendulum with linear velocity
-  friction; the augmented energy is a proper dissipated quantity.
+* ``make_friction`` ("friction") - the planar pendulum with linear
+  velocity friction, in augmented ``(q, v, lambda)`` form; the augmented
+  energy is a proper dissipated quantity.
+* ``make_constrained_hamiltonian`` ("pendulum") - the friction problem
+  with unit mass and zero friction, so the augmented energy is conserved;
+  it also carries the ``(q, p)`` block form for the constraint-conserving
+  scheme.
 * ``make_mixed_derivative`` ("sinh-gordon") - periodic central
   semi-discretization of ``u_tx = sinh(u)``: forward-difference matrix on
   the left, average matrix times the gradient of a cosh sum on the right.
@@ -27,7 +29,7 @@ Problems (CLI names in parentheses):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -142,7 +144,7 @@ def make_smhs(seed: int = 0) -> ProblemSpec:
 
 
 def _pendulum_fields(mass: np.ndarray) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """Shared (H, g, V_aug) fields on the 5-dimensional (q, v, lam) state."""
+    """The (H, g, V_aug) fields on the 5-dimensional (q, v, lam) state."""
 
     def h_value(z):
         q, v = z[:2], z[2:4]
@@ -176,22 +178,11 @@ def _pendulum_fields(mass: np.ndarray) -> tuple[ScalarField, ScalarField, Scalar
 def make_constrained_hamiltonian() -> ProblemSpec:
     """Planar pendulum: ``H = |p|^2 / 2 + q_2`` on the unit circle.
 
-    Packaged both as a linear-gradient system in the augmented state
-    ``(q, p, lambda)`` (constant canonical-with-multiplier structure
-    matrix) and as a :class:`ConstrainedHamiltonian` for the
-    constraint-conserving scheme.
+    The augmented ``(q, p, lambda)`` system is the friction problem with
+    unit mass and zero friction.  The :class:`ConstrainedHamiltonian` for
+    the constraint-conserving scheme takes its fields on the ``(q, p)`` and
+    ``q`` blocks, so it builds its own.
     """
-    mass = np.eye(2)
-    H, g, V = _pendulum_fields(mass)
-    S0 = np.zeros((5, 5))
-    S0[0:2, 2:4] = np.eye(2)
-    S0[2:4, 0:2] = -np.eye(2)
-    S0[4, 4] = 1.0
-    A = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
-    dae = LinearGradientDAE(
-        A, lambda z: S0, V, constraints=(g,), structure_claim="conservative"
-    )
-
     H_qp = quadratic_field(
         np.diag([0.0, 0.0, 1.0, 1.0]), linear=np.array([0.0, 1.0, 0.0, 0.0]), name="H"
     )
@@ -202,36 +193,21 @@ def make_constrained_hamiltonian() -> ProblemSpec:
         hint="quadratic",
         name="g",
     )
-    system = ConstrainedHamiltonian(n=2, hamiltonian=H_qp, constraints=(g_q,))
-
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.empty((count, 5))
-        for i in range(count):
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            speed = rng.uniform(-1.0, 1.0)
-            q = np.array([math.cos(phi), math.sin(phi)])
-            p = speed * np.array([-math.sin(phi), math.cos(phi)])
-            lam = float(p @ p) - q[1]  # keeps the acceleration-level constraint
-            out[i] = np.concatenate([q, p, [lam]])
-        return out
-
-    return ProblemSpec(
+    return replace(
+        make_friction(friction=np.zeros(2)),
         name="pendulum",
-        dae=dae,
-        primary_invariant=V,
-        extra_invariants=(H, g),
-        err_tracked=frozenset({"H"}),
-        default_initial_state=np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
         recommended_scheme="gonzalez",
         index_note="index 3 (holonomic constraint)",
         notes="constant S",
-        gonzalez=system,
-        sample_on_manifold=sampler,
+        gonzalez=ConstrainedHamiltonian(n=2, hamiltonian=H_qp, constraints=(g_q,)),
     )
 
 
 def make_friction(mass=None, friction=None) -> ProblemSpec:
-    """Pendulum with linear velocity friction; dissipates the augmented energy."""
+    """Pendulum with linear velocity friction; dissipates the augmented energy.
+
+    All-zero friction conserves it instead, and the structure claim says so.
+    """
     mass = np.eye(2) if mass is None else np.asarray(mass, dtype=float)
     if mass.shape != (2, 2) or not np.allclose(mass, mass.T, atol=1e-12):
         raise ValueError("mass matrix must be symmetric 2x2")
@@ -256,9 +232,8 @@ def make_friction(mass=None, friction=None) -> ProblemSpec:
     A = np.zeros((5, 5))
     A[0:2, 0:2] = np.eye(2)
     A[2:4, 2:4] = mass
-    dae = LinearGradientDAE(
-        A, lambda z: S0, V, constraints=(g,), structure_claim="dissipative"
-    )
+    claim = "dissipative" if np.any(fdiag) else "conservative"
+    dae = LinearGradientDAE(A, lambda z: S0, V, constraints=(g,), structure_claim=claim)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.empty((count, 5))

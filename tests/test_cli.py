@@ -84,6 +84,17 @@ def test_bad_invocations_exit_one(argv, capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [(("-h",), "usage: daegrad"), (("run", "-h"), "--snapshot-every")],
+)
+def test_help_prints_to_stdout_and_returns_zero(argv, fragment, capsys):
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert fragment in captured.out
+    assert captured.err == ""
+
+
 def test_unwritable_output_exits_one(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "series.csv"
     assert run_cli("run", "--problem", "smhs", "--out", str(target)) == 1

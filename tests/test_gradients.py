@@ -145,8 +145,7 @@ def test_avf_exact_on_quadratics_even_at_low_order():
     V = quadratic_field(X)
     z, zp = np.array([1.0, -2.0]), np.array([0.5, 4.0])
     expected = X @ (z + zp) / 2.0
-    assert np.allclose(avf_gradient(V, z, zp, order=1), expected, atol=1e-14)
-    assert np.allclose(avf_gradient(V, z, zp, order=7), expected, atol=1e-14)
+    assert np.allclose(avf_gradient(V, z, zp), expected, atol=1e-14)
 
 
 def test_avf_coincident_points_return_exact_gradient():
@@ -273,10 +272,9 @@ def test_nonconvex_field_degenerate_denominator():
         hint="general",
     )
     z, zp = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    strict = DiscreteGradientKind("proper", fallback_to_midpoint=False)
     with pytest.raises(DegenerateDenominator):
-        discrete_gradient_info(strict, saddle, z, zp)
-    # the default falls back to the midpoint form and flags it
+        theta_coefficient(saddle, z, zp)
+    # the discrete gradient falls back to the midpoint form and flags it
     vec, fallback = discrete_gradient_info(DiscreteGradientKind("proper"), saddle, z, zp)
     assert fallback
     assert np.allclose(vec, midpoint_gradient(saddle, z, zp), atol=1e-14)
@@ -324,10 +322,6 @@ def test_discrete_gradient_info_reports_fallback_flag():
 def test_kind_validation():
     with pytest.raises(ValueError):
         DiscreteGradientKind("upwind")
-    with pytest.raises(ValueError):
-        DiscreteGradientKind("avf", quadrature_order=1)
-    with pytest.raises(ValueError):
-        DiscreteGradientKind("proper", denominator_tol=0.0)
 
 
 def test_dimension_mismatch_rejected():

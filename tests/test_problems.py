@@ -147,6 +147,18 @@ def test_pendulum_carries_constrained_canonical_form():
     assert spec.gonzalez.constraint_values(q) == pytest.approx([0.0], abs=1e-12)
 
 
+def test_pendulum_is_frictionless_friction():
+    pendulum = make_problem("pendulum")
+    frictionless = make_friction(friction=np.zeros(2))
+    assert frictionless.dae.structure_claim == "conservative"
+    assert np.array_equal(pendulum.dae.A, frictionless.dae.A)
+    for z in pendulum.sample_on_manifold(np.random.default_rng(11), 10):
+        assert np.array_equal(pendulum.dae.S(z), frictionless.dae.S(z))
+        for a, b in zip(pendulum.observers, frictionless.observers):
+            assert a.name == b.name
+            assert a.value(z) == b.value(z)
+
+
 # ---------------------------------------------------------------- friction
 
 
