@@ -182,7 +182,11 @@ def _execute_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    scheme = args.scheme or spec.recommended_scheme
+    scheme = args.scheme or spec.schemes[0]
+    if scheme not in spec.schemes:
+        print(f"error: problem {spec.name!r} ({spec.index_note}) does not accept scheme "
+              f"{scheme!r}; accepted: {', '.join(spec.schemes)}", file=sys.stderr)
+        return 1
     target = spec.gonzalez if scheme == "gonzalez" else spec.dae
     newton_cfg = NewtonConfig(residual_tol=args.newton_tol, max_iters=args.newton_max_iters)
 
@@ -200,9 +204,6 @@ def _execute_run(args: argparse.Namespace) -> int:
     except StepFailure as exc:
         failure = exc
         traj = exc.trajectory
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
     rows = _csv_rows(spec, traj)
     if failure is not None:

@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    DaegradError,
     FallbackCompromisedConservation,
     NoConvergence,
     SingularJacobian,
@@ -235,7 +236,7 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             zp = w[:d]
             gbar, _ = discrete_gradient_info(kind, V, zp, z)
             S1 = dae.S(zp)
-            dyn = A @ (zp - z) / dt - 0.5 * (S1 + S0) @ gbar
+            dyn = A @ (zp - z) / dt - 0.5 * (S1 @ gbar + S0 @ gbar)
             if not index1:
                 return dyn
             constraint = B.T @ (S1 @ np.asarray(V.gradient(zp), dtype=float))
@@ -427,8 +428,9 @@ def integrate(
     named scalar fields whose values are recorded at every state.  The
     initial guess for each Newton solve is the previous state (with zero
     redundant force); the index-1 scheme first projects ``z0`` onto the
-    constraint manifold.  Returns ``steps + 1`` records; a failing step
-    raises :class:`StepFailure` carrying the partial trajectory.
+    constraint manifold, and a non-finite ``z0`` raises ``ValueError``.
+    Returns ``steps + 1`` records; a solver or linear-algebra error in a
+    step raises :class:`StepFailure` carrying the partial trajectory.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
@@ -436,6 +438,8 @@ def integrate(
         raise ValueError(f"dt must be positive, got {dt}")
     bound = _bind(target, scheme)
     z = np.asarray(z0, dtype=float).copy()
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z0 must be finite")
     if scheme == "dg-index1":
         z = project_to_constraint(target, z, cfg)
 
@@ -449,7 +453,7 @@ def integrate(
     for m in range(1, steps + 1):
         try:
             result = _advance(bound, z, dt, cfg)
-        except Exception as exc:  # noqa: BLE001 - converted to a typed failure
+        except (DaegradError, np.linalg.LinAlgError) as exc:
             raise StepFailure(m, exc, traj) from exc
         z = result.state
         traj.records.append(

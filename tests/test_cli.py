@@ -77,11 +77,42 @@ def test_run_scheme_defaults_to_recommendation(tmp_path, capsys):
         ("run", "--problem", "smhs", "--bogus", "1"),
         ("run", "--problem", "smhs", "--newton-tol", "0"),
         (),  # no subcommand
+        ("run", "--problem", "sinh-gordon", "--scheme", "dg-midpoint"),  # not accepted
     ],
 )
 def test_bad_invocations_exit_one(argv, capsys, tmp_path):
     assert run_cli(*argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "friction"])
+@pytest.mark.parametrize("scheme", ["dg-avf", "dg-proper", "dg-index1"])
+def test_index3_problems_refuse_unconstrained_schemes(problem, scheme, tmp_path, capsys):
+    # these schemes drift off the pendulum's index-3 constraint (dg-avf) or
+    # fail within a dozen steps (dg-proper, dg-index1), so the run never starts
+    out = tmp_path / "series.csv"
+    assert run_cli("run", "--problem", problem, "--scheme", scheme, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"problem {problem!r}" in err
+    assert f"does not accept scheme {scheme!r}" in err
+    assert "accepted: " in err and "dg-midpoint, implicit-euler" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "problem, scheme",
+    [
+        ("pendulum", "gonzalez"),
+        ("pendulum", "dg-midpoint"),
+        ("pendulum", "implicit-euler"),
+        ("friction", "dg-midpoint"),
+        ("friction", "implicit-euler"),
+    ],
+)
+def test_index3_problems_still_run_accepted_schemes(problem, scheme, tmp_path):
+    out = tmp_path / "series.csv"
+    assert run_cli("run", "--problem", problem, "--scheme", scheme, "--steps", "5", "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 7
 
 
 @pytest.mark.parametrize(

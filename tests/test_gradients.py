@@ -11,12 +11,14 @@ Frozen oracles used here, all derivable by hand:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from daegrad import gradients
 from daegrad.errors import DegenerateDenominator
 from daegrad.gradients import (
     DiscreteGradientKind,
@@ -98,6 +100,66 @@ def test_cosh_divergence_series_branch_agrees_with_direct_formula():
             math.cosh(z0[0] + h) - math.cosh(z0[0]) - math.sinh(z0[0]) * h
         )
         assert V.divergence(z0 + h, z0) == pytest.approx(direct, rel=1e-12)
+
+
+def exact_cosh_divergence(z, z0, terms=40):
+    """``D(z, z0)`` of the cosh sum in exact rational arithmetic.
+
+    Sums the Taylor series of ``cosh`` about each ``z0_i``, whose
+    coefficients are ``cosh(z0_i)`` and ``sinh(z0_i)`` (themselves exact
+    series).  For ``|z0_i| <= 3`` and ``|z_i - z0_i| <= 2`` the truncation
+    is far below double precision.
+    """
+    total = Fraction(0)
+    for zi, ai in zip(z, z0):
+        a = Fraction(float(ai))
+        h = Fraction(float(zi)) - a
+        a_terms = [a**n / math.factorial(n) for n in range(terms)]
+        cosh_a, sinh_a = sum(a_terms[0::2]), sum(a_terms[1::2])
+        total += sum(
+            (cosh_a if n % 2 == 0 else sinh_a) * h**n / math.factorial(n) for n in range(2, terms)
+        )
+    return total
+
+
+# |h| from 1e-12 to 2, on both sides of the series/direct switch at |h| = 0.5
+KERNEL_OFFSETS = (1e-12, 1e-8, 1e-4, 0.1, 0.3, 0.4999999, 0.5, 0.5000001, 0.7, 1.0, 2.0)
+KERNEL_BASES = (-2.5, -1.3, 0.0, 0.4, 2.1)
+
+
+@pytest.mark.parametrize("a", KERNEL_BASES)
+def test_cosh_divergence_matches_exact_series(a):
+    V = cosh_sum_field(1)
+    for m in KERNEL_OFFSETS:
+        for h in (m, -m):
+            z0 = np.array([a])
+            z = z0 + h
+            exact = exact_cosh_divergence(z, z0)
+            assert abs(Fraction(V.divergence(z, z0)) - exact) <= 1e-15 * exact, (a, h)
+    # all offsets at once, as components of one vector
+    hs = np.array(KERNEL_OFFSETS + tuple(-m for m in KERNEL_OFFSETS))
+    z0 = np.full(hs.size, a)
+    z = z0 + hs
+    exact = exact_cosh_divergence(z, z0)
+    assert abs(Fraction(cosh_sum_field(hs.size).divergence(z, z0)) - exact) <= 1e-15 * exact
+
+
+def test_sinh_minus_identity_series_branch_is_accurate():
+    # below |h| = 0.5 the direct difference sinh(h) - h cancels badly; the
+    # polynomial branch must not
+    hs = np.array([1e-12, 1e-6, 1e-3, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5])
+    hs = np.concatenate([hs, -hs])
+    got = gradients._sinh_minus_identity(hs)
+    for h, value in zip(hs, got):
+        x = Fraction(float(h))
+        exact = sum(x ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(1, 20))
+        assert abs(Fraction(float(value)) - exact) <= 1e-15 * abs(exact), h
+
+
+def test_cosh_divergence_vanishes_at_coincidence():
+    V = cosh_sum_field(4)
+    for z in (np.zeros(4), np.array([0.3, -2.5, 1e-9, 2.9]), np.full(4, -0.5)):
+        assert V.divergence(z, z) == 0.0
 
 
 def test_quartic_field_divergence_closed_form():
@@ -184,6 +246,41 @@ def test_midpoint_chain_rule_property(a, b):
     residual = chain_rule_residual(DiscreteGradientKind("midpoint"), V, z, zp)
     scale = max(1.0, abs(V.value(z)), abs(V.value(zp)))
     assert residual <= 1e-12 * scale
+
+
+def avf_remainder_bound(z, zp):
+    """Bound on the 7-node Gauss-Legendre error in the AVF chain rule on the
+    cosh sum: per component, ``|d|^15 (7!)^4 / (15 (14!)^3) cosh(max |z|)``."""
+    d = np.abs(np.asarray(z) - np.asarray(zp))
+    peak = np.cosh(np.maximum(np.abs(z), np.abs(zp)))
+    c = math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3)
+    return float(np.sum(c * d**15 * peak))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(finite_coords, min_size=1, max_size=4), st.lists(finite_coords, min_size=1, max_size=4))
+def test_avf_chain_rule_property(a, b):
+    # exact up to the quadrature remainder, which cosh (not a polynomial) leaves
+    n = min(len(a), len(b))
+    z, zp = np.array(a[:n]), np.array(b[:n])
+    V = cosh_sum_field(n)
+    residual = chain_rule_residual(DiscreteGradientKind("avf"), V, z, zp)
+    scale = max(1.0, abs(V.value(z)), abs(V.value(zp)))
+    assert residual <= 1e-12 * scale + avf_remainder_bound(z, zp)
+
+
+@pytest.mark.parametrize("variant", ["avf", "midpoint", "proper"])
+@settings(max_examples=50, deadline=None)
+@given(st.lists(finite_coords, min_size=1, max_size=4), st.lists(finite_coords, min_size=1, max_size=4))
+def test_discrete_gradient_is_symmetric_property(variant, a, b):
+    n = min(len(a), len(b))
+    z, zp = np.array(a[:n]), np.array(b[:n])
+    V = cosh_sum_field(n)
+    kind = DiscreteGradientKind(variant)
+    forward = discrete_gradient_info(kind, V, z, zp)[0]
+    backward = discrete_gradient_info(kind, V, zp, z)[0]
+    scale = max(1.0, float(np.max(np.abs(V.gradient(z)))), float(np.max(np.abs(V.gradient(zp)))))
+    assert np.allclose(forward, backward, rtol=0.0, atol=1e-13 * scale)
 
 
 # ------------------------------------------- interior-division (proper) variant

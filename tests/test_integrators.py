@@ -420,6 +420,44 @@ def test_integrate_step_failure_carries_partial_trajectory():
     assert len(failure.trajectory) == 1  # only the initial record survived
 
 
+def test_integrate_wraps_linear_algebra_errors_as_step_failures():
+    def f(z):
+        if z[0] != 1.0:  # fine at the initial state, fails inside the first step
+            raise np.linalg.LinAlgError("singular matrix")
+        return -z
+
+    dae = GeneralDAE(np.eye(1), f)
+    with pytest.raises(StepFailure) as info:
+        integrate(dae, "implicit-euler", np.array([1.0]), 0.1, 3)
+    assert info.value.step_index == 1
+    assert isinstance(info.value.cause, np.linalg.LinAlgError)
+
+
+def test_integrate_lets_programming_errors_propagate():
+    # a bug in the right-hand side is not a solver failure
+    def f(z):
+        if z[0] < 0.9:
+            return z + "oops"  # TypeError, reached on the second step
+        return -z
+
+    dae = GeneralDAE(np.eye(1), f)
+    with pytest.raises(TypeError):
+        integrate(dae, "implicit-euler", np.array([1.0]), 0.1, 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_rejects_non_finite_initial_state(bad, monkeypatch):
+    spec = make_problem("sinh-gordon", grid=8)
+    solves = []
+    monkeypatch.setattr(integrators, "newton_solve", lambda *a, **k: solves.append(a))
+    z0 = spec.default_initial_state.copy()
+    z0[3] = bad
+    for scheme in ("dg-index1", "dg-avf"):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(spec.dae, scheme, z0, 0.1, 5)
+    assert solves == []  # refused before the projection or any step
+
+
 def test_integrate_validates_arguments():
     spec = make_problem("smhs")
     z0 = spec.default_initial_state

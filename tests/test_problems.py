@@ -12,6 +12,7 @@ Hand-computed values used below:
 import numpy as np
 import pytest
 
+from daegrad.integrators import SCHEMES, integrate
 from daegrad.model import implicit_constraint_residual, verify_structure
 from daegrad.problems import (
     PROBLEM_NAMES,
@@ -63,6 +64,19 @@ def test_observers_unique_and_named(name):
     assert len(names) == len(set(names))
     assert all(names)
     assert spec.err_tracked <= set(names)
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_declared_schemes_match_their_targets(name):
+    # the driver refuses undeclared schemes, and every declared one binds to
+    # the problem's system and takes a step
+    spec = _make(name)
+    assert set(spec.schemes) <= set(SCHEMES)
+    assert len(set(spec.schemes)) == len(spec.schemes)
+    assert ("gonzalez" in spec.schemes) == (spec.gonzalez is not None)
+    for scheme in spec.schemes:
+        target = spec.gonzalez if scheme == "gonzalez" else spec.dae
+        assert len(integrate(target, scheme, spec.default_initial_state, 0.1, 1)) == 2
 
 
 # ------------------------------------------------------------------ cyclic
