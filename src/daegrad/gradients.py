@@ -262,16 +262,21 @@ def _avf_rule() -> tuple[np.ndarray, np.ndarray]:
 def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
     """Average of ``grad V`` over the segment from ``zp`` to ``z``.
 
-    7-node Gauss-Legendre quadrature, exact for polynomial ``V`` of degree
-    up to 13.
+    7-node Gauss-Legendre quadrature: it integrates a gradient of degree up
+    to 13 exactly, so it is exact for polynomial ``V`` of degree up to 14.
+    The seven nodes are one ``(7, dim)`` array; each gradient is copied into
+    its row as soon as it returns, so a gradient may return a list, a scalar
+    when ``dim`` is 1, or one buffer that it reuses between calls.
     """
     z, zp = _as_pair(V, z, zp)
     if np.array_equal(z, zp):
         return np.asarray(V.gradient(z), dtype=float)
-    acc = np.zeros_like(z)
-    for x, wx in zip(*_avf_rule()):
-        acc += wx * np.asarray(V.gradient(zp + x * (z - zp)), dtype=float)
-    return acc
+    nodes, weights = _avf_rule()
+    points = zp + nodes[:, None] * (z - zp)
+    grads = np.empty_like(points)
+    for i, point in enumerate(points):
+        grads[i] = V.gradient(point)
+    return weights @ grads
 
 
 def midpoint_gradient(V: ScalarField, z, zp) -> np.ndarray:

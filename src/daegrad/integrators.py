@@ -236,7 +236,9 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             zp = w[:d]
             gbar, _ = discrete_gradient_info(kind, V, zp, z)
             S1 = dae.S(zp)
-            dyn = A @ (zp - z) / dt - 0.5 * (S1 @ gbar + S0 @ gbar)
+            # a constant S comes back as the same object: Sbar = S, one product
+            Sg = S1 @ gbar if S1 is S0 else 0.5 * (S1 @ gbar + S0 @ gbar)
+            dyn = A @ (zp - z) / dt - Sg
             if not index1:
                 return dyn
             constraint = B.T @ (S1 @ np.asarray(V.gradient(zp), dtype=float))

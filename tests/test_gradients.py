@@ -216,6 +216,105 @@ def test_avf_coincident_points_return_exact_gradient():
     assert np.allclose(avf_gradient(V, z, z.copy()), np.sinh(z), atol=0.0)
 
 
+def sequential_avf(V, z, zp):
+    """The 7-node sum accumulated one node at a time, with the summed magnitudes."""
+    total, magnitude = np.zeros_like(z), np.zeros_like(z)
+    for x, wx in zip(*gradients._avf_rule()):
+        g = np.asarray(V.gradient(zp + x * (z - zp)), dtype=float)
+        total += wx * g
+        magnitude += wx * np.abs(g)
+    return total, magnitude
+
+
+def sample_fields(dim, rng):
+    M = rng.normal(size=(dim, dim))
+    return (
+        cosh_sum_field(dim),
+        convex_quartic_field(rng.uniform(0.0, 2.0, size=dim)),
+        quadratic_field(M + M.T, linear=rng.normal(size=dim)),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+def test_batched_avf_matches_sequential_sum(dim):
+    rng = np.random.default_rng(dim)
+    for V in sample_fields(dim, rng):
+        for _ in range(50):
+            z, zp = 2.0 * rng.normal(size=dim), 2.0 * rng.normal(size=dim)
+            expected, magnitude = sequential_avf(V, z, zp)
+            got = avf_gradient(V, z, zp)
+            assert got.shape == (dim,)
+            # the sums differ only in rounding: relative to the summed magnitudes
+            assert np.all(np.abs(got - expected) <= 1e-15 * magnitude)
+        assert np.array_equal(avf_gradient(V, z, z.copy()), V.gradient(z))
+
+
+def test_avf_accepts_a_gradient_that_returns_a_list():
+    V = cosh_sum_field(3)
+    as_list = ScalarField(3, V.value, lambda u: np.sinh(u).tolist())
+    z, zp = np.array([0.4, -1.0, 2.0]), np.array([1.5, 0.2, -0.7])
+    assert np.array_equal(avf_gradient(as_list, z, zp), avf_gradient(V, z, zp))
+
+
+def test_avf_accepts_a_gradient_that_reuses_one_buffer():
+    V = cosh_sum_field(3)
+    buffer = np.empty(3)
+
+    def gradient(u):
+        np.sinh(u, out=buffer)
+        return buffer
+
+    shared = ScalarField(3, V.value, gradient)
+    z, zp = np.array([0.4, -1.0, 2.0]), np.array([1.5, 0.2, -0.7])
+    assert np.array_equal(avf_gradient(shared, z, zp), avf_gradient(V, z, zp))
+
+
+def test_avf_scalar_gradient_in_one_dimension_keeps_vector_shape():
+    V = ScalarField(1, lambda u: math.cosh(u[0]), lambda u: math.sinh(u[0]))
+    got = avf_gradient(V, np.array([0.0]), np.array([1.0]))
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(math.cosh(1.0) - 1.0, abs=1e-14)
+
+
+def power_field(degree, coefficients):
+    c = np.asarray(coefficients, dtype=float)
+    return ScalarField(
+        dim=c.shape[0],
+        value=lambda z: float(np.sum(c * z**degree)),
+        gradient=lambda z: degree * c * z ** (degree - 1),
+    )
+
+
+def exact_power_average(degree, coefficients, z, zp):
+    """Component ``i`` is the divided difference ``c_i (z_i^k - zp_i^k) / (z_i - zp_i)``."""
+    return np.array([
+        float(Fraction(c) * (Fraction(a) ** degree - Fraction(b) ** degree) / (Fraction(a) - Fraction(b)))
+        for c, a, b in zip(coefficients, z, zp)
+    ])
+
+
+def avf_power_error(degree):
+    rng = np.random.default_rng(degree)
+    coefficients = [1.0, 0.5, 2.0]
+    V = power_field(degree, coefficients)
+    worst = 0.0
+    for _ in range(20):
+        z, zp = rng.uniform(-1.5, 1.5, size=3), rng.uniform(-1.5, 1.5, size=3)
+        exact = exact_power_average(degree, coefficients, z, zp)
+        worst = max(worst, float(np.max(np.abs(avf_gradient(V, z, zp) - exact) / np.max(np.abs(exact)))))
+    return worst
+
+
+def test_avf_is_exact_up_to_degree_fourteen():
+    # seven Gauss nodes integrate a gradient of degree 13, so V of degree 14
+    assert avf_power_error(14) <= 1e-13
+
+
+@pytest.mark.parametrize("degree", [15, 16])
+def test_avf_is_not_exact_beyond_degree_fourteen(degree):
+    assert avf_power_error(degree) >= 1e-8
+
+
 # ------------------------------------------------------- midpoint variant
 
 

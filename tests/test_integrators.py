@@ -1,6 +1,7 @@
 """Tests for the Newton kernel, one-step maps, and the driver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,6 +226,34 @@ def test_dg_conserves_with_state_dependent_structure():
         V = traj.invariant_series("V")
         assert np.abs(V - V[0]).max() <= 1e-12
         assert np.ptp(traj.states()[:, 0] ** 2) > 0.5  # S really changes
+    # any skew S conserves V, so check the scheme itself: Sbar is the endpoint average
+    z1 = step(dae, "dg-midpoint", z0, 0.4, TIGHT).state
+    gbar = 0.5 * (z1 + z0)  # exact for the quadratic V
+    assert np.allclose((z1 - z0) / 0.4, 0.5 * (S(z1) + S(z0)) @ gbar, rtol=0.0, atol=1e-12)
+    assert not np.allclose((z1 - z0) / 0.4, S(z0) @ gbar, rtol=0.0, atol=1e-3)
+
+
+@pytest.mark.parametrize(
+    "problem, grid, scheme",
+    [
+        ("friction", None, "dg-midpoint"),
+        ("sinh-gordon", 16, "dg-proper"),
+        ("sinh-gordon", 16, "dg-index1"),
+        ("sinh-gordon", 16, "dg-avf"),
+    ],
+)
+def test_constant_structure_single_product_matches_average(problem, grid, scheme):
+    # a constant S returned as one object takes the single S gbar product;
+    # a fresh copy per call forces the endpoint average, which must agree bit for bit
+    spec = make_problem(problem) if grid is None else make_problem(problem, grid=grid)
+    dae = spec.dae
+    z0 = spec.default_initial_state
+    S0 = dae.S(z0)
+    assert dae.S(z0 + 1.0) is S0
+    averaged = replace(dae, S=lambda z: S0.copy())
+    runs = [integrate(target, scheme, z0, 0.1, 10) for target in (dae, averaged)]
+    assert np.array_equal(runs[0].states(), runs[1].states())
+    assert [r.newton_iters for r in runs[0].records] == [r.newton_iters for r in runs[1].records]
 
 
 def test_dg_midpoint_second_order_convergence():
