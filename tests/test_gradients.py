@@ -276,15 +276,6 @@ def test_avf_scalar_gradient_in_one_dimension_keeps_vector_shape():
     assert got[0] == pytest.approx(math.cosh(1.0) - 1.0, abs=1e-14)
 
 
-def power_field(degree, coefficients):
-    c = np.asarray(coefficients, dtype=float)
-    return ScalarField(
-        dim=c.shape[0],
-        value=lambda z: float(np.sum(c * z**degree)),
-        gradient=lambda z: degree * c * z ** (degree - 1),
-    )
-
-
 def exact_power_average(degree, coefficients, z, zp):
     """Component ``i`` is the divided difference ``c_i (z_i^k - zp_i^k) / (z_i - zp_i)``."""
     return np.array([
@@ -296,7 +287,8 @@ def exact_power_average(degree, coefficients, z, zp):
 def avf_power_error(degree):
     rng = np.random.default_rng(degree)
     coefficients = [1.0, 0.5, 2.0]
-    V = power_field(degree, coefficients)
+    c = np.array(coefficients)
+    V = ScalarField(3, lambda z: float(np.sum(c * z**degree)), lambda z: degree * c * z ** (degree - 1))
     worst = 0.0
     for _ in range(20):
         z, zp = rng.uniform(-1.5, 1.5, size=3), rng.uniform(-1.5, 1.5, size=3)

@@ -245,7 +245,7 @@ def test_dg_conserves_with_state_dependent_structure():
 def test_constant_structure_single_product_matches_average(problem, grid, scheme):
     # a constant S returned as one object takes the single S gbar product;
     # a fresh copy per call forces the endpoint average, which must agree bit for bit
-    spec = make_problem(problem) if grid is None else make_problem(problem, grid=grid)
+    spec = make_problem(problem, grid=grid)
     dae = spec.dae
     z0 = spec.default_initial_state
     S0 = dae.S(z0)
