@@ -34,7 +34,6 @@ from .gradients import (
     proper_gradient,
     quadratic_field,
     theta_coefficient,
-    validate_gradient,
 )
 from .integrators import (
     SCHEMES,
@@ -109,7 +108,6 @@ __all__ = [
     "proper_gradient",
     "quadratic_field",
     "theta_coefficient",
-    "validate_gradient",
     # integrators
     "SCHEMES",
     "NewtonConfig",

@@ -48,7 +48,6 @@ __all__ = [
     "linear_field",
     "cosh_sum_field",
     "convex_quartic_field",
-    "validate_gradient",
     "DiscreteGradientKind",
     "avf_gradient",
     "midpoint_gradient",
@@ -58,7 +57,7 @@ __all__ = [
     "chain_rule_residual",
 ]
 
-_HINTS = ("quadratic", "strictly_convex", "general")
+_HINTS = ("quadratic", "general")
 
 #: points whose distance is below this (scaled) threshold are treated as equal
 COINCIDENCE_RTOL = 1e-14
@@ -70,12 +69,11 @@ _DENOMINATOR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A differentiable map ``R^dim -> R`` with optional structure hints.
+    """A differentiable map ``R^dim -> R`` with an optional structure hint.
 
     ``hint`` declares what the discrete-gradient machinery may exploit:
     ``"quadratic"`` means the gradient is affine (so the interior-division
-    coefficient is exactly one half), ``"strictly_convex"`` guarantees a
-    positive curvature term, and ``"general"`` promises nothing.
+    coefficient is exactly one half), and ``"general"`` promises nothing.
 
     ``divergence`` optionally evaluates the one-sided divergence
 
@@ -167,7 +165,7 @@ def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
         dim=dim,
         value=lambda u: float(np.sum(np.cosh(u))),
         gradient=lambda u: np.sinh(u),
-        hint="strictly_convex",
+        hint="general",
         divergence=divergence,
         name=name,
     )
@@ -192,34 +190,10 @@ def convex_quartic_field(curvature, name: str = "") -> ScalarField:
         dim=c.shape[0],
         value=lambda z: float(np.sum(0.25 * z**4 + 0.5 * c * z**2)),
         gradient=lambda z: z**3 + c * z,
-        hint="strictly_convex",
+        hint="general",
         divergence=divergence,
         name=name,
     )
-
-
-def validate_gradient(field: ScalarField, points, rtol: float = 1e-5) -> float:
-    """Compare the declared gradient against central differences.
-
-    Returns the worst relative deviation over the given points and raises
-    ``ValueError`` if it exceeds ``rtol``.
-    """
-    worst = 0.0
-    for z in points:
-        z = np.asarray(z, dtype=float)
-        g = np.asarray(field.gradient(z), dtype=float)
-        fd = np.empty_like(g)
-        for j in range(field.dim):
-            h = 1e-6 * (1.0 + abs(z[j]))
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            fd[j] = (field.value(zp) - field.value(zm)) / (2.0 * h)
-        scale = max(1.0, float(np.max(np.abs(g))))
-        worst = max(worst, float(np.max(np.abs(fd - g))) / scale)
-    if worst > rtol:
-        raise ValueError(f"gradient disagrees with central differences (rel {worst:.2e})")
-    return worst
 
 
 @dataclass(frozen=True)
@@ -252,6 +226,11 @@ def _as_pair(V: ScalarField, z, zp) -> tuple[np.ndarray, np.ndarray]:
     return z, zp
 
 
+def _gradient(V: ScalarField, z) -> np.ndarray:
+    """``grad V(z)`` as a float vector of shape ``(V.dim,)``; the AVF rows get it by copying."""
+    return np.asarray(V.gradient(z), dtype=float).reshape(V.dim)
+
+
 @cache
 def _avf_rule() -> tuple[np.ndarray, np.ndarray]:
     # built on first use, so that ``import daegrad`` need not load numpy.polynomial
@@ -270,7 +249,7 @@ def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
     """
     z, zp = _as_pair(V, z, zp)
     if np.array_equal(z, zp):
-        return np.asarray(V.gradient(z), dtype=float)
+        return _gradient(V, z)
     nodes, weights = _avf_rule()
     points = zp + nodes[:, None] * (z - zp)
     grads = np.empty_like(points)
@@ -283,9 +262,9 @@ def midpoint_gradient(V: ScalarField, z, zp) -> np.ndarray:
     """Midpoint gradient with the rank-one chain-rule correction."""
     z, zp = _as_pair(V, z, zp)
     if _coincide(z, zp):
-        return np.asarray(V.gradient(z), dtype=float)
+        return _gradient(V, z)
     delta = z - zp
-    g = np.asarray(V.gradient(0.5 * (z + zp)), dtype=float)
+    g = _gradient(V, 0.5 * (z + zp))
     dd = float(delta @ delta)
     corr = (V.value(z) - V.value(zp) - float(g @ delta)) / dd
     return g + corr * delta
@@ -300,8 +279,8 @@ def _divergence_pair(V: ScalarField, z, zp) -> tuple[float, float]:
     if V.divergence is not None:
         return float(V.divergence(z, zp)), float(V.divergence(zp, z))
     delta = z - zp
-    d1 = V.value(z) - V.value(zp) - float(np.asarray(V.gradient(zp)) @ delta)
-    den = float((np.asarray(V.gradient(z)) - np.asarray(V.gradient(zp))) @ delta)
+    d1 = V.value(z) - V.value(zp) - float(_gradient(V, zp) @ delta)
+    den = float((_gradient(V, z) - _gradient(V, zp)) @ delta)
     return d1, den - d1
 
 
@@ -352,14 +331,12 @@ def discrete_gradient_info(
         return midpoint_gradient(V, z, zp), False
     z, zp = _as_pair(V, z, zp)
     if _coincide(z, zp):
-        return np.asarray(V.gradient(z), dtype=float), False
+        return _gradient(V, z), False
     try:
         t1, t2 = _theta_pair(V, z, zp)
     except DegenerateDenominator:
         return midpoint_gradient(V, z, zp), True
-    g1 = np.asarray(V.gradient(z), dtype=float)
-    g2 = np.asarray(V.gradient(zp), dtype=float)
-    return t1 * g1 + t2 * g2, False
+    return t1 * _gradient(V, z) + t2 * _gradient(V, zp), False
 
 
 def chain_rule_residual(kind: DiscreteGradientKind, V: ScalarField, z, zp) -> float:

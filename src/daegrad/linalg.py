@@ -1,7 +1,8 @@
 """Dense linear algebra for singular square systems.
 
 This module computes the Moore-Penrose pseudoinverse of a (possibly
-singular) square matrix together with orthonormal bases of the subspaces
+singular) square matrix, with the numerical rank set by a fixed relative
+singular-value cutoff, together with orthonormal bases of the subspaces
 that organize a linear-gradient DAE: the null space of the mass matrix,
 its orthogonal complement (the row space), and the orthogonal complement
 of the range.  It also provides orthogonal projections onto such bases and
@@ -62,7 +63,6 @@ class SubspaceData:
             the orthogonal complement of the range.  For a DAE with this
             mass matrix, these directions read off the implicit
             constraints.
-        tol_used: the singular-value cutoff that produced ``rank``.
     """
 
     pinv: np.ndarray
@@ -70,24 +70,19 @@ class SubspaceData:
     null_basis: np.ndarray
     row_basis: np.ndarray
     range_perp_basis: np.ndarray
-    tol_used: float
-
-    @property
-    def dim(self) -> int:
-        return self.pinv.shape[0]
 
     @property
     def nullity(self) -> int:
         return self.null_basis.shape[1]
 
 
-def pseudo_inverse(A, rank_tol: float | None = None) -> SubspaceData:
+def pseudo_inverse(A) -> SubspaceData:
     """Compute the pseudoinverse and subspace bases of a square matrix.
 
-    The numerical rank is the number of singular values exceeding
-    ``rank_tol``; by default the cutoff is ``d * eps * sigma_max``, the
-    usual scaling for an SVD-based rank decision.  Bases are taken from
-    the singular vectors, so they are orthonormal to machine precision.
+    The numerical rank is the number of singular values exceeding the fixed
+    cutoff ``d * eps * sigma_max``, the usual scaling for an SVD-based rank
+    decision.  Bases are taken from the singular vectors, so they are
+    orthonormal to machine precision.
 
     Raises:
         ValueError: if the input is not square or has non-finite entries.
@@ -96,7 +91,7 @@ def pseudo_inverse(A, rank_tol: float | None = None) -> SubspaceData:
     d = A.shape[0]
     U, s, Vt = np.linalg.svd(A)
     sigma_max = float(s[0]) if s.size else 0.0
-    tol = float(rank_tol) if rank_tol is not None else d * np.finfo(float).eps * sigma_max
+    tol = d * np.finfo(float).eps * sigma_max
     rank = int(np.count_nonzero(s > tol))
     pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T if rank else np.zeros((d, d))
     return SubspaceData(
@@ -105,7 +100,6 @@ def pseudo_inverse(A, rank_tol: float | None = None) -> SubspaceData:
         null_basis=Vt[rank:].T.copy(),
         row_basis=Vt[:rank].T.copy(),
         range_perp_basis=U[:, rank:].copy(),
-        tol_used=tol,
     )
 
 

@@ -19,7 +19,7 @@ the implicit-constraint residual, a properness check, a properization
 transform that adds multiples of the constraints to a non-proper function
 to make it proper, structure verification over sample states, and the two
 generic factorizations that build a suitable ``S`` for a known conserved
-or dissipated quantity.
+or dissipated quantity.  Their tolerances are fixed, not arguments.
 """
 
 from __future__ import annotations
@@ -169,13 +169,14 @@ class ProperCheck(NamedTuple):
     residual: float
 
 
-def check_proper(dae, z, tol: float = 1e-10, field: ScalarField | None = None) -> ProperCheck:
+def check_proper(dae, z, field: ScalarField | None = None) -> ProperCheck:
     """Does ``grad field`` avoid the null-space directions at ``z``?
 
-    The residual is the norm of the null-space projection of the gradient.
-    ``field`` defaults to the system's own ``V`` for linear-gradient
-    systems.  Points far off the manifold give a warning, since properness
-    is only meaningful on it.
+    The residual is the norm of the null-space projection of the gradient,
+    and the check passes when it is at most 1e-10.  ``field`` defaults to
+    the system's own ``V`` for linear-gradient systems.  Points whose
+    implicit-constraint residual exceeds 1e-8 give a warning, since
+    properness is only meaningful on the manifold.
     """
     z = np.asarray(z, dtype=float)
     if field is None:
@@ -183,7 +184,7 @@ def check_proper(dae, z, tol: float = 1e-10, field: ScalarField | None = None) -
             raise ValueError("field must be given for systems without a V")
         field = dae.V
     cres = implicit_constraint_residual(dae, z)
-    if cres.size and float(np.max(np.abs(cres))) > max(tol, 1e-8):
+    if cres.size and float(np.max(np.abs(cres))) > 1e-8:
         warnings.warn(
             f"state is off the constraint manifold (residual {float(np.max(np.abs(cres))):.2e}); "
             "properness is only meaningful on it",
@@ -191,7 +192,7 @@ def check_proper(dae, z, tol: float = 1e-10, field: ScalarField | None = None) -
         )
     g = np.asarray(field.gradient(z), dtype=float)
     residual = float(np.linalg.norm(project(dae.subspaces.null_basis, g)))
-    return ProperCheck(residual <= tol, residual)
+    return ProperCheck(residual <= 1e-10, residual)
 
 
 def properize(v_tilde: ScalarField, dae) -> ScalarField:
@@ -266,36 +267,33 @@ class StructureReport:
     claim: str
     passed: bool
     worst_residual: float
-    per_sample: tuple[float, ...]
-    note: str = ""
 
 
-def verify_structure(dae: LinearGradientDAE, samples, tol: float = 1e-9) -> StructureReport:
+def verify_structure(dae: LinearGradientDAE, samples) -> StructureReport:
     """Check the declared claim of ``pinv(A) S(z)`` at each sample state.
 
     Conservative systems must show a skew-symmetric product (max-abs
     residual), dissipative ones a negative-semidefinite symmetric part
-    (largest eigenvalue, which may exceed zero by at most ``tol``).
-    Samples are expected to lie on the configuration manifold.
+    (largest eigenvalue); either figure may reach 1e-9 at the worst sample.
+    Samples are expected to lie on the configuration manifold.  A system
+    without a claim passes trivially.
     """
     claim = dae.structure_claim
     if claim == "none":
-        return StructureReport(claim, True, 0.0, (), note="no structure claim declared")
+        return StructureReport(claim, True, 0.0)
     pinv = dae.subspaces.pinv
     residuals = []
     for z in samples:
         P = pinv @ dae.S(np.asarray(z, dtype=float))
         if claim == "conservative":
-            residuals.append(is_skew_symmetric(P, tol).residual)
+            residuals.append(is_skew_symmetric(P).residual)
         else:
-            residuals.append(is_negative_semidefinite(P, tol).max_eigenvalue)
+            residuals.append(is_negative_semidefinite(P).max_eigenvalue)
     worst = max(residuals) if residuals else 0.0
-    return StructureReport(claim, worst <= tol, float(worst), tuple(residuals))
+    return StructureReport(claim, worst <= 1e-9, float(worst))
 
 
-def build_conservative_S(
-    dae: GeneralDAE, V: ScalarField, gradient_tol: float = 1e-12
-) -> Callable[[np.ndarray], np.ndarray]:
+def build_conservative_S(dae: GeneralDAE, V: ScalarField) -> Callable[[np.ndarray], np.ndarray]:
     """Factor ``f`` through a structure matrix that conserves ``V``.
 
     Returns the map
@@ -304,7 +302,7 @@ def build_conservative_S(
 
     On the manifold, where ``V`` is proper and ``<grad V, pinv(A) f> = 0``,
     this satisfies ``S(z) grad V(z) = f(z)`` and ``pinv(A) S(z)`` is
-    skew-symmetric.  Evaluation at a critical point of ``V`` raises
+    skew-symmetric.  Evaluation where ``||grad V|| <= 1e-12`` raises
     :class:`VanishingGradient`.
     """
     A = dae.A
@@ -314,7 +312,7 @@ def build_conservative_S(
         z = np.asarray(z, dtype=float)
         g = np.asarray(V.gradient(z), dtype=float)
         gg = float(g @ g)
-        if gg <= gradient_tol**2:
+        if gg <= 1e-24:
             raise VanishingGradient(f"||grad V|| = {np.sqrt(gg):.3e} at z = {z}")
         fz = np.asarray(dae.f(z), dtype=float)
         return (np.outer(fz, g) - np.outer(A @ g, pinv @ fz)) / gg
@@ -322,17 +320,15 @@ def build_conservative_S(
     return S
 
 
-def build_dissipative_S(
-    dae: GeneralDAE, V: ScalarField, dissipation_tol: float = 1e-12
-) -> Callable[[np.ndarray], np.ndarray]:
+def build_dissipative_S(dae: GeneralDAE, V: ScalarField) -> Callable[[np.ndarray], np.ndarray]:
     """Factor ``f`` through a structure matrix that dissipates ``V``.
 
     Returns ``S(z) = f(z) (pinv(A) f)^T / <pinv(A) f, grad V>``, defined
     wherever ``V`` actually changes along the flow.  ``S grad V = f``
     holds identically there, and ``pinv(A) S`` is a symmetric rank-one
     matrix whose sign matches the dissipation rate, hence negative
-    semidefinite where ``V`` decreases.  A (near-)stationary rate raises
-    :class:`VanishingDissipation`.
+    semidefinite where ``V`` decreases.  A rate of magnitude at most 1e-12
+    raises :class:`VanishingDissipation`.
     """
     pinv = dae.subspaces.pinv
 
@@ -341,7 +337,7 @@ def build_dissipative_S(
         fz = np.asarray(dae.f(z), dtype=float)
         w = pinv @ fz
         rate = float(w @ np.asarray(V.gradient(z), dtype=float))
-        if abs(rate) <= dissipation_tol:
+        if abs(rate) <= 1e-12:
             raise VanishingDissipation(f"dissipation rate {rate:.3e} at z = {z}")
         return np.outer(fz, w) / rate
 

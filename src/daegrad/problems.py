@@ -63,9 +63,9 @@ class ProblemSpec:
     default_initial_state: np.ndarray
     schemes: tuple[str, ...]  # the driver refuses any other; the first is its default
     index_note: str
+    sample_on_manifold: Callable[[np.random.Generator, int], np.ndarray]
     notes: str = ""
     gonzalez: ConstrainedHamiltonian | None = None
-    sample_on_manifold: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     @property
     def observers(self) -> tuple[ScalarField, ...]:

@@ -1,9 +1,13 @@
 """End-to-end tests for the command-line driver, run in process."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from daegrad import cli
 from daegrad.cli import main
+from daegrad.problems import make_problem
 
 SMHS_HEADER = "step,t,V,V_err,constraint_norm,c_norm,newton_iters,newton_residual,H,H_err,g"
 SINH_GORDON_HEADER = "step,t,V,V_err,constraint_norm,c_norm,newton_iters,newton_residual,F"
@@ -255,6 +259,18 @@ def test_check_conservative_structure(capsys):
     assert "structure: conservative, constant S" in text
     assert "A^+S skew: residual" in text
     assert "(pass)" in text
+
+
+def test_check_constant_s_label_follows_the_system(monkeypatch, capsys):
+    # the pendulum's notes still say "constant S", but this S is a fresh copy per call
+    spec = make_problem("pendulum")
+    S0 = spec.dae.S(spec.default_initial_state)
+    fresh = replace(spec, dae=replace(spec.dae, S=lambda z: S0.copy()))
+    monkeypatch.setattr(cli, "make_problem", lambda *args, **kwargs: fresh)
+    assert run_cli("check", "pendulum") == 0
+    text = capsys.readouterr().out
+    assert "structure: conservative\n" in text
+    assert "conservative, constant S" not in text
 
 
 def test_check_dissipative_structure(capsys):

@@ -33,7 +33,6 @@ from daegrad.gradients import (
     proper_gradient,
     quadratic_field,
     theta_coefficient,
-    validate_gradient,
 )
 
 finite_coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -169,20 +168,15 @@ def test_quartic_field_divergence_closed_form():
     assert V.divergence(z, z0) == pytest.approx(direct, rel=1e-13)
 
 
-def test_validate_gradient_accepts_consistent_field():
-    V = cosh_sum_field(3)
-    rng = np.random.default_rng(0)
-    validate_gradient(V, rng.normal(size=(10, 3)))
+@pytest.mark.parametrize("hint", ["quadratic", "general"])
+def test_scalar_field_accepts_known_hints(hint):
+    assert ScalarField(1, lambda u: 0.0, lambda u: 0.0, hint=hint).hint == hint
 
 
-def test_validate_gradient_rejects_wrong_gradient():
-    bad = ScalarField(
-        dim=2,
-        value=lambda z: float(z @ z),
-        gradient=lambda z: np.asarray(z, dtype=float),  # should be 2z
-    )
-    with pytest.raises(ValueError):
-        validate_gradient(bad, np.array([[1.0, 2.0]]))
+@pytest.mark.parametrize("hint", ["strictly_convex", "convex"])
+def test_scalar_field_rejects_unknown_hints(hint):
+    with pytest.raises(ValueError, match="unknown hint"):
+        ScalarField(1, lambda u: 0.0, lambda u: 0.0, hint=hint)
 
 
 # ------------------------------------------------- averaged (AVF) variant
@@ -269,11 +263,19 @@ def test_avf_accepts_a_gradient_that_reuses_one_buffer():
     assert np.array_equal(avf_gradient(shared, z, zp), avf_gradient(V, z, zp))
 
 
-def test_avf_scalar_gradient_in_one_dimension_keeps_vector_shape():
+@pytest.mark.parametrize(
+    "z, zp, expected",
+    [(0.5, 0.5, math.sinh(0.5)), (0.0, 1.0, math.cosh(1.0) - 1.0)],
+    ids=["coincident", "distinct"],
+)
+@pytest.mark.parametrize("variant", ["avf", "midpoint", "proper"])
+def test_avf_scalar_gradient_in_one_dimension_keeps_vector_shape(variant, z, zp, expected):
+    # a float gradient is read as shape (1,); between distinct points every
+    # variant is the divided difference cosh(1) - cosh(0) in one dimension
     V = ScalarField(1, lambda u: math.cosh(u[0]), lambda u: math.sinh(u[0]))
-    got = avf_gradient(V, np.array([0.0]), np.array([1.0]))
+    got, _ = discrete_gradient_info(DiscreteGradientKind(variant), V, np.array([z]), np.array([zp]))
     assert got.shape == (1,)
-    assert got[0] == pytest.approx(math.cosh(1.0) - 1.0, abs=1e-14)
+    assert got[0] == pytest.approx(expected, abs=1e-14)
 
 
 def exact_power_average(degree, coefficients, z, zp):
