@@ -283,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--dt", type=_positive(float), default=0.1, help="time step (default %(default)s)")
     run_p.add_argument("--steps", type=_positive(int), default=100, help="number of steps (default %(default)s)")
     run_p.add_argument("--grid", type=int, help="grid size for spatial problems")
-    run_p.add_argument("--newton-tol", type=_positive(float), default=1e-12, help="Newton residual tolerance (default %(default)s)")
-    run_p.add_argument("--newton-max-iters", type=_positive(int), default=50, help="Newton iteration cap (default %(default)s)")
+    run_p.add_argument("--newton-tol", type=_positive(float), default=NewtonConfig.residual_tol, help="Newton residual tolerance (default %(default)s)")
+    run_p.add_argument("--newton-max-iters", type=_positive(int), default=NewtonConfig.max_iters, help="Newton iteration cap (default %(default)s)")
     run_p.add_argument("--out", help="CSV output path (default: stdout)")
     run_p.add_argument("--snapshot-every", type=_positive(int), help="also write full states every N steps to <out>.states.csv")
     run_p.add_argument("--seed", type=int, default=0, help="seed for randomized fixtures (default %(default)s)")

@@ -245,7 +245,8 @@ def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
     to 13 exactly, so it is exact for polynomial ``V`` of degree up to 14.
     The seven nodes are one ``(7, dim)`` array; each gradient is copied into
     its row as soon as it returns, so a gradient may return a list, a scalar
-    when ``dim`` is 1, or one buffer that it reuses between calls.
+    when ``dim`` is 1, or one buffer that it reuses between calls.  The
+    midpoint and proper gradients accept such a gradient too.
     """
     z, zp = _as_pair(V, z, zp)
     if np.array_equal(z, zp):
@@ -274,13 +275,16 @@ def _divergence_pair(V: ScalarField, z, zp) -> tuple[float, float]:
     """One-sided divergences ``D(z, zp)`` and ``D(zp, z)``.
 
     Uses the field's stable evaluator when available, otherwise the direct
-    three-term formulas sharing a single curvature evaluation.
+    three-term formulas sharing a single curvature evaluation.  ``grad V(zp)``
+    is copied before ``grad V(z)`` is evaluated, so a gradient that reuses
+    one buffer does not cancel the curvature term.
     """
     if V.divergence is not None:
         return float(V.divergence(z, zp)), float(V.divergence(zp, z))
     delta = z - zp
-    d1 = V.value(z) - V.value(zp) - float(_gradient(V, zp) @ delta)
-    den = float((_gradient(V, z) - _gradient(V, zp)) @ delta)
+    gp = _gradient(V, zp).copy()
+    d1 = V.value(z) - V.value(zp) - float(gp @ delta)
+    den = float((_gradient(V, z) - gp) @ delta)
     return d1, den - d1
 
 

@@ -1,7 +1,7 @@
 """One-step integrators for linear-gradient DAE systems.
 
 Every scheme solves one residual per step with a damped Newton iteration
-(forward-difference Jacobian by default).  The schemes, by name:
+on a forward-difference Jacobian.  The schemes, by name:
 
 * ``implicit-euler`` - ``A (z1 - z0) = dt f(z1)``; conserves any linear
   invariant whose gradient avoids the null space of ``A``.
@@ -72,19 +72,16 @@ _STEP_TOL = 1e-14
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Stopping rules and Jacobian policy for the Newton iteration."""
+    """Stopping rules for the Newton iteration."""
 
     residual_tol: float = 1e-12
     max_iters: int = 50
-    jacobian: str = "forward_difference"  # or "analytic"
 
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.jacobian not in ("forward_difference", "analytic"):
-            raise ValueError(f"unknown jacobian policy {self.jacobian!r}")
 
 
 class NewtonResult(NamedTuple):
@@ -110,9 +107,11 @@ def newton_solve(
 ) -> NewtonResult:
     """Damped Newton iteration on ``residual(w) = 0``.
 
-    Success means ``||residual||_inf <= cfg.residual_tol``.  Full steps
-    that increase the residual norm are halved up to 20 times; if no
-    halving helps, or ``max_iters`` is exhausted, or the step stagnates
+    Each iteration solves with ``jacobian(w)`` when the caller passes one,
+    and otherwise with a forward-difference Jacobian that costs ``len(w)``
+    residual calls.  Success means ``||residual||_inf <= cfg.residual_tol``.
+    Full steps that increase the residual norm are halved up to 20 times;
+    if no halving helps, or ``max_iters`` is exhausted, or the step stagnates
     below a relative ``1e-14`` without meeting the tolerance, raises
     :class:`NoConvergence`.  A Jacobian that cannot be solved raises
     :class:`SingularJacobian`.
@@ -122,9 +121,8 @@ def newton_solve(
     rnorm = float(np.max(np.abs(r))) if r.size else 0.0
     if rnorm <= cfg.residual_tol:
         return NewtonResult(w, 0, rnorm)
-    use_analytic = cfg.jacobian == "analytic" and jacobian is not None
     for it in range(1, cfg.max_iters + 1):
-        if use_analytic:
+        if jacobian is not None:
             J = np.asarray(jacobian(w), dtype=float)
         else:
             h = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(w))))
@@ -166,13 +164,12 @@ class StepResult(NamedTuple):
 class _Scheme(NamedTuple):
     """A scheme bound to its target system.
 
-    ``build(z0, dt)`` returns the Newton residual of one step from ``z0``
-    and an optional analytic Jacobian.  The unknown is the new state
-    followed by ``extra`` auxiliary components.  ``kind`` and ``V`` name
-    the interior-division gradient whose midpoint fallback is reported
-    (``kind`` is None for gradients that cannot fall back);
-    ``free_null_space`` marks a scheme that leaves the null-space
-    components of a singular mass matrix undetermined.
+    ``build(z0, dt)`` returns the Newton residual of one step from ``z0``.
+    The unknown is the new state followed by ``extra`` auxiliary
+    components.  ``kind`` and ``V`` name the interior-division gradient
+    whose midpoint fallback is reported (``kind`` is None for gradients
+    that cannot fall back); ``free_null_space`` marks a scheme that leaves
+    the null-space components of a singular mass matrix undetermined.
     """
 
     build: Callable
@@ -187,23 +184,19 @@ def _implicit_euler(dae) -> _Scheme:
 
     For uniform index-1 systems the result satisfies the implicit
     constraint to solver tolerance, because the constraint equations are a
-    fixed linear combination of the residual rows.  An analytic Jacobian
-    is offered when the system has ``f_jacobian``.
+    fixed linear combination of the residual rows.
     """
     if isinstance(dae, LinearGradientDAE):
         dae = dae.as_general()
     if not isinstance(dae, GeneralDAE):
         raise ValueError("scheme 'implicit-euler' needs a system A z' = f(z)")
     A = dae.A
-    f_jacobian = dae.f_jacobian
 
     def build(z, dt):
         def residual(zp):
             return A @ (zp - z) / dt - np.asarray(dae.f(zp), dtype=float)
 
-        if f_jacobian is None:
-            return residual, None
-        return residual, lambda zp: A / dt - np.asarray(f_jacobian(zp), dtype=float)
+        return residual
 
     return _Scheme(build)
 
@@ -244,7 +237,7 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             constraint = B.T @ (S1 @ np.asarray(V.gradient(zp), dtype=float))
             return np.concatenate([dyn - B @ w[d:], constraint])
 
-        return residual, None
+        return residual
 
     if index1:
         return _Scheme(build, B.shape[1], kind, V)
@@ -291,7 +284,7 @@ def _gonzalez(system) -> _Scheme:
                 ]
             )
 
-        return residual, None
+        return residual
 
     return _Scheme(build)
 
@@ -308,10 +301,10 @@ def _bind(target, scheme: str) -> _Scheme:
 
 def _advance(bound: _Scheme, z, dt: float, cfg: NewtonConfig) -> StepResult:
     z = np.asarray(z, dtype=float)
-    residual, jacobian = bound.build(z, dt)
+    residual = bound.build(z, dt)
     w0 = np.concatenate([z, np.zeros(bound.extra)])
     try:
-        sol = newton_solve(residual, w0, cfg, jacobian=jacobian)
+        sol = newton_solve(residual, w0, cfg)
     except SingularJacobian as exc:
         if bound.free_null_space:
             raise UnderdeterminedSystem(

@@ -70,7 +70,6 @@ class GeneralDAE:
     A: np.ndarray
     f: Callable[[np.ndarray], np.ndarray]
     constraints: tuple[ScalarField, ...] = ()
-    f_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     subspaces: SubspaceData | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):

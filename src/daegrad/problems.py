@@ -10,11 +10,11 @@ Problems (CLI names in parentheses):
   singular incidence-like mass matrix and three functionally dependent
   conserved quantities: a quadratic proper one, a linear non-proper one,
   and their sum, which is the constraint.
-* ``make_friction`` ("friction") - the planar pendulum with linear
-  velocity friction, in augmented ``(q, v, lambda)`` form; the augmented
-  energy is a proper dissipated quantity.
+* ``make_friction`` ("friction") - the planar unit-mass pendulum with
+  linear velocity friction, in augmented ``(q, v, lambda)`` form; the
+  augmented energy is a proper dissipated quantity.
 * ``make_constrained_hamiltonian`` ("pendulum") - the friction problem
-  with unit mass and zero friction, so the augmented energy is conserved;
+  with zero friction, so the augmented energy is conserved;
   it also carries the ``(q, p)`` block form for the constraint-conserving
   scheme.
 * ``make_mixed_derivative`` ("sinh-gordon") - periodic central
@@ -78,7 +78,6 @@ def make_smhs(seed: int = 0) -> ProblemSpec:
     A = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
     M = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
     K = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-    ones = np.ones(3)
 
     def f(z):
         z = np.asarray(z, dtype=float)
@@ -87,19 +86,10 @@ def make_smhs(seed: int = 0) -> ProblemSpec:
         s = (np.roll(z, -1) - z) ** 2
         return 0.5 * (M @ w - s)
 
-    def f_jacobian(z):
-        z = np.asarray(z, dtype=float)
-        total = z.sum()
-        Jw = np.diag(1.0 + 6.0 * z - total) - np.outer(z, ones)
-        r = np.roll(z, -1) - z
-        P = np.roll(np.eye(3), -1, axis=0)  # picks out z_{i+1}
-        Js = 2.0 * np.diag(r) @ (P - np.eye(3))
-        return 0.5 * (M @ Jw - Js)
-
     H = quadratic_field(K, name="H")
-    V = linear_field(ones, name="V")
-    g = quadratic_field(K, linear=ones, name="g")  # g = H + V, the constraint
-    dae = GeneralDAE(A, f, constraints=(g,), f_jacobian=f_jacobian)
+    V = linear_field(np.ones(3), name="V")
+    g = quadratic_field(K, linear=np.ones(3), name="g")  # g = H + V, the constraint
+    dae = GeneralDAE(A, f, constraints=(g,))
 
     def nonzero_state_on_ray(direction: np.ndarray) -> np.ndarray | None:
         # scalar root of g along t -> g(t * direction), skipping the origin
@@ -143,16 +133,15 @@ def make_smhs(seed: int = 0) -> ProblemSpec:
     )
 
 
-def _pendulum_fields(mass: np.ndarray) -> tuple[ScalarField, ScalarField, ScalarField]:
+def _pendulum_fields() -> tuple[ScalarField, ScalarField, ScalarField]:
     """The (H, g, V_aug) fields on the 5-dimensional (q, v, lam) state."""
 
     def h_value(z):
         q, v = z[:2], z[2:4]
-        return 0.5 * float(v @ (mass @ v)) + q[1]
+        return 0.5 * float(v @ v) + q[1]
 
     def h_gradient(z):
-        v = z[2:4]
-        return np.concatenate([[0.0, 1.0], mass @ v, [0.0]])
+        return np.concatenate([[0.0, 1.0], z[2:4], [0.0]])
 
     H = ScalarField(dim=5, value=h_value, gradient=h_gradient, hint="quadratic", name="H")
 
@@ -169,7 +158,7 @@ def _pendulum_fields(mass: np.ndarray) -> tuple[ScalarField, ScalarField, Scalar
 
     def v_gradient(z):
         q, v, lam = z[:2], z[2:4], z[4]
-        return np.concatenate([np.array([0.0, 1.0]) + lam * q, mass @ v, [g.value(z)]])
+        return np.concatenate([np.array([0.0, 1.0]) + lam * q, v, [g.value(z)]])
 
     V = ScalarField(dim=5, value=v_value, gradient=v_gradient, name="V")
     return H, g, V
@@ -179,7 +168,7 @@ def make_constrained_hamiltonian() -> ProblemSpec:
     """Planar pendulum: ``H = |p|^2 / 2 + q_2`` on the unit circle.
 
     The augmented ``(q, p, lambda)`` system is the friction problem with
-    unit mass and zero friction.  The :class:`ConstrainedHamiltonian` for
+    zero friction.  The :class:`ConstrainedHamiltonian` for
     the constraint-conserving scheme takes its fields on the ``(q, p)`` and
     ``q`` blocks, so it builds its own.
     """
@@ -194,7 +183,7 @@ def make_constrained_hamiltonian() -> ProblemSpec:
         name="g",
     )
     return replace(
-        make_friction(friction=np.zeros(2)),
+        make_friction(friction=(0.0, 0.0)),
         name="pendulum",
         schemes=("gonzalez", "dg-midpoint", "implicit-euler"),
         index_note="index 3 (holonomic constraint)",
@@ -203,35 +192,26 @@ def make_constrained_hamiltonian() -> ProblemSpec:
     )
 
 
-def make_friction(mass=None, friction=None) -> ProblemSpec:
-    """Pendulum with linear velocity friction; dissipates the augmented energy.
+def make_friction(friction=(0.1, 0.1)) -> ProblemSpec:
+    """Unit-mass pendulum with linear velocity friction; dissipates the augmented energy.
 
-    All-zero friction conserves it instead, and the structure claim says so.
+    ``friction`` holds the two nonnegative drag coefficients.  All-zero
+    friction conserves the energy instead, and the structure claim says so.
     """
-    mass = np.eye(2) if mass is None else np.asarray(mass, dtype=float)
-    if mass.shape != (2, 2) or not np.allclose(mass, mass.T, atol=1e-12):
-        raise ValueError("mass matrix must be symmetric 2x2")
-    if np.any(np.linalg.eigvalsh(mass) <= 0):
-        raise ValueError("mass matrix must be positive definite")
-    fdiag = np.array([0.1, 0.1]) if friction is None else np.asarray(friction, dtype=float)
-    if fdiag.ndim == 2:
-        if np.any(fdiag != np.diag(np.diag(fdiag))):
-            raise ValueError("friction matrix must be diagonal")
-        fdiag = np.diag(fdiag)
+    fdiag = np.asarray(friction, dtype=float)
+    if fdiag.shape != (2,):
+        raise ValueError(f"friction must be two coefficients, got shape {fdiag.shape}")
     if np.any(fdiag < 0):
         raise ValueError("friction coefficients must be nonnegative")
     F = np.diag(fdiag)
-    Minv = np.linalg.inv(mass)
 
-    H, g, V = _pendulum_fields(mass)
+    H, g, V = _pendulum_fields()
     S0 = np.zeros((5, 5))
-    S0[0:2, 2:4] = Minv
+    S0[0:2, 2:4] = np.eye(2)
     S0[2:4, 0:2] = -np.eye(2)
-    S0[2:4, 2:4] = -F @ Minv
+    S0[2:4, 2:4] = -F
     S0[4, 4] = 1.0
-    A = np.zeros((5, 5))
-    A[0:2, 0:2] = np.eye(2)
-    A[2:4, 2:4] = mass
+    A = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
     claim = "dissipative" if np.any(fdiag) else "conservative"
     dae = LinearGradientDAE(A, lambda z: S0, V, constraints=(g,), structure_claim=claim)
 
@@ -243,9 +223,7 @@ def make_friction(mass=None, friction=None) -> ProblemSpec:
             q = np.array([math.cos(phi), math.sin(phi)])
             v = speed * np.array([-math.sin(phi), math.cos(phi)])
             grad_u = np.array([0.0, 1.0])
-            lam = (float(v @ v) - float(q @ (Minv @ (grad_u + F @ v)))) / float(
-                q @ (Minv @ q)
-            )
+            lam = (float(v @ v) - float(q @ (grad_u + F @ v))) / float(q @ q)
             out[i] = np.concatenate([q, v, [lam]])
         return out
 
@@ -332,10 +310,6 @@ def make_linear_invariant_fixture() -> ProblemSpec:
         y = np.asarray(y, dtype=float)
         return np.array([y[2], -y[2], y[2] - y[0] * y[1]])
 
-    def f_jacobian(y):
-        y = np.asarray(y, dtype=float)
-        return np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-y[1], -y[0], 1.0]])
-
     V = linear_field(np.array([1.0, 1.0, 0.0]), name="V")
     g = ScalarField(
         dim=3,
@@ -343,7 +317,7 @@ def make_linear_invariant_fixture() -> ProblemSpec:
         gradient=lambda y: np.array([-y[1], -y[0], 1.0]),
         name="g",
     )
-    dae = GeneralDAE(A, f, constraints=(g,), f_jacobian=f_jacobian)
+    dae = GeneralDAE(A, f, constraints=(g,))
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.empty((count, 3))

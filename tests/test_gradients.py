@@ -263,6 +263,28 @@ def test_avf_accepts_a_gradient_that_reuses_one_buffer():
     assert np.array_equal(avf_gradient(shared, z, zp), avf_gradient(V, z, zp))
 
 
+def test_proper_accepts_a_gradient_that_reuses_one_buffer():
+    # no divergence routine, so theta comes from the three-term formulas,
+    # whose curvature term must not read one buffer twice
+    buffer = np.empty(2)
+
+    def value(u):
+        return float(np.sum(u**4) / 4.0 + u @ u / 2.0)
+
+    def shared_gradient(u):
+        np.add(u**3, u, out=buffer)
+        return buffer
+
+    fresh = ScalarField(2, value, lambda u: u**3 + u)
+    shared = ScalarField(2, value, shared_gradient)
+    z, zp = np.array([0.7, -0.2]), np.array([-0.1, 0.4])
+    kind = DiscreteGradientKind("proper")
+    got, fell_back = discrete_gradient_info(kind, shared, z, zp)
+    want, want_fell_back = discrete_gradient_info(kind, fresh, z, zp)
+    assert not fell_back and not want_fell_back
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "z, zp, expected",
     [(0.5, 0.5, math.sinh(0.5)), (0.0, 1.0, math.cosh(1.0) - 1.0)],
