@@ -246,11 +246,12 @@ def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
     The seven nodes are one ``(7, dim)`` array; each gradient is copied into
     its row as soon as it returns, so a gradient may return a list, a scalar
     when ``dim`` is 1, or one buffer that it reuses between calls.  The
-    midpoint and proper gradients accept such a gradient too.
+    midpoint and proper gradients accept such a gradient too, and at
+    coincident points all three return a copy of ``grad V(z)``.
     """
     z, zp = _as_pair(V, z, zp)
     if np.array_equal(z, zp):
-        return _gradient(V, z)
+        return _gradient(V, z).copy()
     nodes, weights = _avf_rule()
     points = zp + nodes[:, None] * (z - zp)
     grads = np.empty_like(points)
@@ -263,7 +264,7 @@ def midpoint_gradient(V: ScalarField, z, zp) -> np.ndarray:
     """Midpoint gradient with the rank-one chain-rule correction."""
     z, zp = _as_pair(V, z, zp)
     if _coincide(z, zp):
-        return _gradient(V, z)
+        return _gradient(V, z).copy()
     delta = z - zp
     g = _gradient(V, 0.5 * (z + zp))
     dd = float(delta @ delta)
@@ -335,7 +336,7 @@ def discrete_gradient_info(
         return midpoint_gradient(V, z, zp), False
     z, zp = _as_pair(V, z, zp)
     if _coincide(z, zp):
-        return _gradient(V, z), False
+        return _gradient(V, z).copy(), False
     try:
         t1, t2 = _theta_pair(V, z, zp)
     except DegenerateDenominator:

@@ -15,9 +15,13 @@ on a forward-difference Jacobian.  The schemes, by name:
 * ``gonzalez`` - discrete-gradient scheme for canonical systems with
   holonomic constraints, enforcing ``g(q1) + g(q0) = 0``.
 
-``step`` takes one step of any of them.  ``integrate`` drives a run,
-records per-step diagnostics, and returns the partial trajectory inside
-a :class:`StepFailure` if a step fails mid-run.
+``step`` takes one step of any of them, starting Newton at the current
+state.  ``integrate`` drives a run, records per-step diagnostics, and
+returns the partial trajectory inside a :class:`StepFailure` if a step
+fails mid-run.  From its second step on, ``integrate`` starts Newton at
+the line ``2 z_m - z_{m-1}`` through the last two states, and solves
+again from ``z_m`` if that start fails; schemes that leave null-space
+components free keep starting at ``z_m``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from .errors import (
     DaegradError,
     FallbackCompromisedConservation,
+    NewtonError,
     NoConvergence,
     SingularJacobian,
     StepFailure,
@@ -170,6 +175,8 @@ class _Scheme(NamedTuple):
     whose midpoint fallback is reported (``kind`` is None for gradients
     that cannot fall back); ``free_null_space`` marks a scheme that leaves
     the null-space components of a singular mass matrix undetermined.
+    Such a scheme gets no predicted Newton start in :func:`integrate`,
+    since its null-space components need not follow a smooth line.
     """
 
     build: Callable
@@ -299,19 +306,28 @@ def _bind(target, scheme: str) -> _Scheme:
     raise ValueError(f"unknown scheme {scheme!r}; available: {', '.join(SCHEMES)}")
 
 
-def _advance(bound: _Scheme, z, dt: float, cfg: NewtonConfig) -> StepResult:
+def _advance(bound: _Scheme, z, dt: float, cfg: NewtonConfig, guess=None) -> StepResult:
+    """One step from ``z``; Newton starts at ``guess`` when given, and
+    again at ``z`` if that solve fails."""
     z = np.asarray(z, dtype=float)
     residual = bound.build(z, dt)
-    w0 = np.concatenate([z, np.zeros(bound.extra)])
-    try:
-        sol = newton_solve(residual, w0, cfg)
-    except SingularJacobian as exc:
-        if bound.free_null_space:
-            raise UnderdeterminedSystem(
-                "singular Jacobian with singular mass matrix: the scheme does not "
-                "determine the null-space components; use the index-1 scheme"
-            ) from exc
-        raise
+    extra = np.zeros(bound.extra)
+    sol = None
+    if guess is not None:
+        try:
+            sol = newton_solve(residual, np.concatenate([guess, extra]), cfg)
+        except NewtonError:
+            pass
+    if sol is None:
+        try:
+            sol = newton_solve(residual, np.concatenate([z, extra]), cfg)
+        except SingularJacobian as exc:
+            if bound.free_null_space:
+                raise UnderdeterminedSystem(
+                    "singular Jacobian with singular mass matrix: the scheme does not "
+                    "determine the null-space components; use the index-1 scheme"
+                ) from exc
+            raise
     d = z.shape[0]
     z_new, c = sol.w[:d], sol.w[d:]
     fallback = False
@@ -421,9 +437,14 @@ def integrate(
     ``target`` is a :class:`GeneralDAE`, :class:`LinearGradientDAE` or
     :class:`ConstrainedHamiltonian`, matched to the scheme.  Observers are
     named scalar fields whose values are recorded at every state.  The
-    initial guess for each Newton solve is the previous state (with zero
-    redundant force); the index-1 scheme first projects ``z0`` onto the
-    constraint manifold, and a non-finite ``z0`` raises ``ValueError``.
+    first Newton solve starts at ``z0``; each later one starts at the
+    linear extrapolation ``2 z_m - z_{m-1}`` of the last two states, and
+    if that solve fails it is solved again from ``z_m``.  Schemes that
+    leave null-space components undetermined always start at ``z_m``.
+    The redundant force of the index-1 scheme always starts at zero.  The
+    index-1 scheme first projects ``z0`` onto the constraint manifold, and
+    a non-finite ``z0`` raises ``ValueError``.  ``newton_iters`` counts
+    the iterations of the solve that was accepted.
     Returns ``steps + 1`` records; a solver or linear-algebra error in a
     step raises :class:`StepFailure` carrying the partial trajectory.
     """
@@ -445,12 +466,14 @@ def integrate(
     traj.records.append(
         StepRecord(0, 0.0, z.copy(), observe(z), _constraint_norm(target, z), 0.0, 0, 0.0, False)
     )
+    prev = None
     for m in range(1, steps + 1):
+        guess = None if prev is None or bound.free_null_space else 2.0 * z - prev
         try:
-            result = _advance(bound, z, dt, cfg)
+            result = _advance(bound, z, dt, cfg, guess)
         except (DaegradError, np.linalg.LinAlgError) as exc:
             raise StepFailure(m, exc, traj) from exc
-        z = result.state
+        prev, z = z, result.state
         traj.records.append(
             StepRecord(
                 step_index=m,

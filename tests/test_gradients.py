@@ -285,6 +285,23 @@ def test_proper_accepts_a_gradient_that_reuses_one_buffer():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("variant", ["avf", "midpoint", "proper"])
+def test_coincident_gradient_is_not_the_fields_buffer(variant):
+    # at z == z' every variant is grad V(z); the result must not change when
+    # a gradient that reuses one buffer is called again
+    buffer = np.empty(2)
+
+    def shared_gradient(u):
+        np.add(u**3, u, out=buffer)
+        return buffer
+
+    V = ScalarField(2, lambda u: float(np.sum(u**4) / 4.0 + u @ u / 2.0), shared_gradient)
+    z = np.array([1.2, -0.4])
+    got, _ = discrete_gradient_info(DiscreteGradientKind(variant), V, z, z.copy())
+    V.gradient(np.array([5.0, 5.0]))
+    assert np.array_equal(got, z**3 + z)
+
+
 @pytest.mark.parametrize(
     "z, zp, expected",
     [(0.5, 0.5, math.sinh(0.5)), (0.0, 1.0, math.cosh(1.0) - 1.0)],

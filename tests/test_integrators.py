@@ -520,3 +520,122 @@ def test_integrate_index1_projects_initial_state():
     traj = integrate(spec.dae, "dg-index1", off, 0.1, 2, observers=spec.observers, cfg=TIGHT)
     assert traj.records[0].constraint_residual_norm <= 1e-10
     assert abs(traj.invariant_series("F")[0]) <= 1e-10
+
+
+# ------------------------------------------------------ predicted start
+
+
+def _record_starts(monkeypatch):
+    """Route ``newton_solve`` through a wrapper that records each ``w0``."""
+    starts = []
+    real = integrators.newton_solve
+
+    def recording(residual, w0, *args, **kwargs):
+        starts.append(np.array(w0, dtype=float))
+        return real(residual, w0, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "newton_solve", recording)
+    return starts
+
+
+def test_predicted_start_saves_an_iteration_on_the_lattice():
+    spec = make_problem("sinh-gordon", grid=32)
+    traj = integrate(spec.dae, "dg-index1", spec.default_initial_state, 0.1, 50)
+    iters = [rec.newton_iters for rec in traj.records[1:]]
+    assert iters[0] == 3  # no predecessor, so no prediction
+    assert max(iters[1:]) <= 2  # 3 each when every step starts at z_m
+
+
+def test_step_starts_newton_at_the_current_state(monkeypatch):
+    starts = _record_starts(monkeypatch)
+    lattice, pendulum = make_problem("sinh-gordon", grid=8), make_problem("pendulum")
+    cases = [
+        (lattice.dae, "dg-index1", lattice.default_initial_state, 1),
+        (lattice.dae, "implicit-euler", lattice.default_initial_state, 0),
+        (pendulum.gonzalez, "gonzalez", pendulum.default_initial_state, 0),
+    ]
+    for target, scheme, z, extra in cases:
+        starts.clear()
+        step(target, scheme, z, 0.1)
+        assert len(starts) == 1
+        assert np.array_equal(starts[0], np.concatenate([z, np.zeros(extra)]))
+
+
+@pytest.mark.parametrize(
+    "name, scheme",
+    [("sinh-gordon", "dg-avf"), ("sinh-gordon", "dg-proper"),
+     ("pendulum", "dg-midpoint"), ("friction", "dg-midpoint")],
+)
+def test_free_null_space_schemes_start_at_the_current_state(name, scheme, monkeypatch):
+    spec = make_problem(name, grid=8) if name == "sinh-gordon" else make_problem(name)
+    assert integrators._bind(spec.dae, scheme).free_null_space
+    starts = _record_starts(monkeypatch)
+    traj = integrate(spec.dae, scheme, spec.default_initial_state, 0.1, 4)
+    assert len(starts) == 4
+    for start, rec in zip(starts, traj.records):
+        assert np.array_equal(start, rec.state)
+
+
+@pytest.mark.parametrize("name, scheme", [("sinh-gordon", "dg-index1"), ("smhs", "implicit-euler")])
+def test_integrate_starts_later_steps_on_the_line_through_two_states(name, scheme, monkeypatch):
+    spec = make_problem(name, grid=8) if name == "sinh-gordon" else make_problem(name)
+    extra = integrators._bind(spec.dae, scheme).extra
+    starts = _record_starts(monkeypatch)
+    traj = integrate(spec.dae, scheme, spec.default_initial_state, 0.1, 3)
+    steps = starts[-3:]  # after the index-1 scheme's projection solve
+    z = traj.states()
+    assert np.array_equal(steps[0], np.concatenate([z[0], np.zeros(extra)]))
+    assert np.array_equal(steps[1], np.concatenate([2.0 * z[1] - z[0], np.zeros(extra)]))
+    assert np.array_equal(steps[2], np.concatenate([2.0 * z[2] - z[1], np.zeros(extra)]))
+
+
+@pytest.mark.parametrize("error", [NoConvergence(1, 1.0), SingularJacobian("test")])
+def test_failed_predicted_solve_is_retried_from_the_current_state(error, monkeypatch):
+    dae = GeneralDAE(np.eye(1), lambda z: -z)
+    reference = integrate(dae, "implicit-euler", np.array([1.0]), 0.1, 2)
+    starts = _record_starts(monkeypatch)
+    recording = integrators.newton_solve
+
+    def failing_on_the_prediction(residual, w0, *args, **kwargs):
+        if len(starts) == 1:  # the second call is step 2's predicted start
+            starts.append(np.array(w0))
+            raise error
+        return recording(residual, w0, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "newton_solve", failing_on_the_prediction)
+    traj = integrate(dae, "implicit-euler", np.array([1.0]), 0.1, 2)
+    z = reference.states()
+    assert [s[0] for s in starts] == [z[0][0], 2.0 * z[1][0] - z[0][0], z[1][0]]
+    assert np.array_equal(traj.states(), z)
+
+
+def test_second_failure_of_a_step_propagates(monkeypatch):
+    dae = GeneralDAE(np.eye(1), lambda z: -z)
+    starts = _record_starts(monkeypatch)
+    recording = integrators.newton_solve
+
+    def failing_after_step_one(residual, w0, *args, **kwargs):
+        if starts:
+            starts.append(np.array(w0))
+            raise NoConvergence(len(starts), 1.0)
+        return recording(residual, w0, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "newton_solve", failing_after_step_one)
+    with pytest.raises(StepFailure) as info:
+        integrate(dae, "implicit-euler", np.array([1.0]), 0.1, 3)
+    assert info.value.step_index == 2
+    assert info.value.cause.iters == 3  # the retry's error, not the prediction's
+    assert len(starts) == 3
+
+
+@pytest.mark.parametrize(
+    "name, dt, seed",
+    # smhs seed 0 fails on step 1 at 1e-6, before any prediction (ROADMAP item 3)
+    [("pendulum", 1e-5, 0), ("friction", 1e-5, 0), ("smhs", 1e-6, 1)],
+)
+def test_small_dt_runs_recover_from_failed_predictions(name, dt, seed):
+    # without the retry from z_m these fail: the predicted solve stagnates
+    # just above the absolute 1e-12 tolerance
+    spec = make_problem(name, seed=seed)
+    traj = integrate(spec.dae, "implicit-euler", spec.default_initial_state, dt, 40)
+    assert len(traj) == 41
