@@ -76,9 +76,7 @@ def summarize(records: list[dict], metrics: dict[str, str]) -> dict:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["record"]
     complete = [p for p in by_pair.values() if all("metrics" in p.get(s, {}) for s in SIDES)]
     out = {}
-    for name, better in metrics.items():
-        if not complete:
-            break
+    for name, better in metrics.items() if complete else ():
         values = {s: [p[s]["metrics"][name]["value"] for p in complete] for s in SIDES}
         sign = -1.0 if better == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
