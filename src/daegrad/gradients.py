@@ -24,9 +24,11 @@ The interior-division coefficient ``theta(z, z')`` is the ratio of the
 one-sided divergence ``V(z) - V(z') - <grad V(z'), z - z'>`` to the
 two-sided curvature term ``<grad V(z) - grad V(z'), z - z'>``; the two
 one-sided divergences sum to the curvature term, so the coefficients for
-``(z, z')`` and ``(z', z)`` always sum to one.  For quadratic fields the
-coefficient is exactly one half and the construction coincides with the
-average vector field.
+``(z, z')`` and ``(z', z)`` always sum to one.  A field's ``divergence``
+routine returns both one-sided divergences from one evaluation, so each
+coefficient pair costs one call.  For quadratic fields the coefficient is
+exactly one half and the construction coincides with the average vector
+field.
 
 The policy is fixed: none of the constructions takes a tuning parameter.
 """
@@ -75,11 +77,12 @@ class ScalarField:
     ``"quadratic"`` means the gradient is affine (so the interior-division
     coefficient is exactly one half), and ``"general"`` promises nothing.
 
-    ``divergence`` optionally evaluates the one-sided divergence
+    ``divergence(z, z0)`` optionally evaluates both one-sided divergences
 
         D(z, z0) = V(z) - V(z0) - <grad V(z0), z - z0>
 
-    in a cancellation-free way.  Supplying it makes the interior-division
+    and ``D(z0, z)`` in a cancellation-free way, and returns them as the
+    pair ``(D(z, z0), D(z0, z))``.  Supplying it makes the interior-division
     coefficient accurate arbitrarily close to coincidence, where the naive
     three-term formula loses all significant digits.
     """
@@ -88,7 +91,7 @@ class ScalarField:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hint: str = "general"
-    divergence: Callable[[np.ndarray, np.ndarray], float] | None = None
+    divergence: Callable[[np.ndarray, np.ndarray], tuple[float, float]] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -109,7 +112,8 @@ def quadratic_field(X, linear=None, name: str = "") -> ScalarField:
 
     def divergence(z, z0):
         h = np.asarray(z, dtype=float) - np.asarray(z0, dtype=float)
-        return 0.5 * float(h @ (X @ h))
+        v = 0.5 * float(h @ (X @ h))
+        return v, v
 
     return ScalarField(
         dim=X.shape[0],
@@ -129,7 +133,7 @@ def linear_field(gamma, name: str = "") -> ScalarField:
         value=lambda z: float(g @ z),
         gradient=lambda z: g.copy(),
         hint="quadratic",
-        divergence=lambda z, z0: 0.0,
+        divergence=lambda z, z0: (0.0, 0.0),
         name=name,
     )
 
@@ -150,16 +154,22 @@ def _sinh_minus_identity(h: np.ndarray) -> np.ndarray:
 def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
     """The strictly convex field ``V(u) = sum_i cosh(u_i)``.
 
-    The one-sided divergence sums ``cosh(a) 2 sinh(h/2)^2 + sinh(a) (sinh(h) - h)``
-    (``a = z0``, ``h = z - z0``) on whole arrays; a Horner series for small ``h``
-    keeps ``sinh(h) - h``, and so the divergence, accurate near coincidence.
+    ``D(z, z0)`` sums ``cosh(z0) 2 s^2 + sinh(z0) phi`` and ``D(z0, z)`` sums
+    ``cosh(z) 2 s^2 - sinh(z) phi``, with ``h = z - z0``, ``s = sinh(h/2)`` and
+    ``phi = sinh(h) - h`` computed once on whole arrays for both.  ``sinh`` and
+    the kernel are odd, so each entry is bitwise what the one-sided formula
+    gives on its own.  A Horner series for small ``h`` keeps ``phi``, and so
+    the divergences, accurate near coincidence.
     """
 
     def divergence(z, z0):
-        a = np.asarray(z0, dtype=float)
-        h = np.asarray(z, dtype=float) - a
+        z = np.asarray(z, dtype=float)
+        z0 = np.asarray(z0, dtype=float)
+        h = z - z0
         s = np.sinh(0.5 * h)
-        return float(np.sum(np.cosh(a) * 2.0 * s * s + np.sinh(a) * _sinh_minus_identity(h)))
+        phi = _sinh_minus_identity(h)
+        return (float((np.cosh(z0) * 2.0 * s * s + np.sinh(z0) * phi).sum()),
+                float((np.cosh(z) * 2.0 * s * s - np.sinh(z) * phi).sum()))
 
     return ScalarField(
         dim=dim,
@@ -174,17 +184,22 @@ def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
 def convex_quartic_field(curvature, name: str = "") -> ScalarField:
     """``V(z) = sum_i (z_i^4 / 4 + c_i z_i^2 / 2)`` with ``c_i >= 0``.
 
-    Strictly convex; the divergence has the closed component form
-    ``h^2 (6 a^2 + 4 a h + h^2) / 4 + c h^2 / 2`` which is cancellation-free.
+    Strictly convex; with ``h = z - z0`` the divergences have the closed
+    component forms ``h^2 ((6 a^2 + 4 a h + h^2) / 4 + c / 2)`` for ``D(z, z0)``
+    (``a = z0``) and ``h^2 ((6 b^2 - 4 b h + h^2) / 4 + c / 2)`` for ``D(z0, z)``
+    (``b = z``), which are cancellation-free.
     """
     c = np.asarray(curvature, dtype=float)
     if np.any(c < 0):
         raise ValueError("curvature coefficients must be nonnegative")
 
     def divergence(z, z0):
+        b = np.asarray(z, dtype=float)
         a = np.asarray(z0, dtype=float)
-        h = np.asarray(z, dtype=float) - a
-        return float(np.sum(h * h * ((6.0 * a * a + 4.0 * a * h + h * h) / 4.0 + c / 2.0)))
+        h = b - a
+        hh = h * h
+        return (float((hh * ((6.0 * a * a + 4.0 * a * h + hh) / 4.0 + c / 2.0)).sum()),
+                float((hh * ((6.0 * b * b - 4.0 * b * h + hh) / 4.0 + c / 2.0)).sum()))
 
     return ScalarField(
         dim=c.shape[0],
@@ -210,10 +225,13 @@ class DiscreteGradientKind:
             raise ValueError(f"unknown discrete-gradient variant {self.variant!r}")
 
 
-def _coincide(z: np.ndarray, zp: np.ndarray) -> bool:
-    return float(np.linalg.norm(z - zp)) <= COINCIDENCE_RTOL * max(
-        1.0, float(np.linalg.norm(z))
-    )
+def _coincide(z: np.ndarray, dd: float) -> bool:
+    """Whether ``z`` and a point at squared distance ``dd`` count as equal.
+
+    ``math.sqrt`` of a dot product is bitwise what ``np.linalg.norm`` gives
+    for a 1-D float vector, without its per-call overhead.
+    """
+    return math.sqrt(dd) <= COINCIDENCE_RTOL * max(1.0, math.sqrt(float(z @ z)))
 
 
 def _as_pair(V: ScalarField, z, zp) -> tuple[np.ndarray, np.ndarray]:
@@ -263,41 +281,41 @@ def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
 def midpoint_gradient(V: ScalarField, z, zp) -> np.ndarray:
     """Midpoint gradient with the rank-one chain-rule correction."""
     z, zp = _as_pair(V, z, zp)
-    if _coincide(z, zp):
-        return _gradient(V, z).copy()
     delta = z - zp
-    g = _gradient(V, 0.5 * (z + zp))
     dd = float(delta @ delta)
+    if _coincide(z, dd):
+        return _gradient(V, z).copy()
+    g = _gradient(V, 0.5 * (z + zp))
     corr = (V.value(z) - V.value(zp) - float(g @ delta)) / dd
     return g + corr * delta
 
 
-def _divergence_pair(V: ScalarField, z, zp) -> tuple[float, float]:
-    """One-sided divergences ``D(z, zp)`` and ``D(zp, z)``.
+def _divergence_pair(V: ScalarField, z, zp, delta) -> tuple[float, float]:
+    """One-sided divergences ``D(z, zp)`` and ``D(zp, z)``, with ``delta = z - zp``.
 
-    Uses the field's stable evaluator when available, otherwise the direct
-    three-term formulas sharing a single curvature evaluation.  ``grad V(zp)``
-    is copied before ``grad V(z)`` is evaluated, so a gradient that reuses
-    one buffer does not cancel the curvature term.
+    Uses the field's stable evaluator, which returns both, when available;
+    otherwise the direct three-term formulas sharing a single curvature
+    evaluation.  ``grad V(zp)`` is copied before ``grad V(z)`` is evaluated,
+    so a gradient that reuses one buffer does not cancel the curvature term.
     """
     if V.divergence is not None:
-        return float(V.divergence(z, zp)), float(V.divergence(zp, z))
-    delta = z - zp
+        d1, d2 = V.divergence(z, zp)
+        return float(d1), float(d2)
     gp = _gradient(V, zp).copy()
     d1 = V.value(z) - V.value(zp) - float(gp @ delta)
     den = float((_gradient(V, z) - gp) @ delta)
     return d1, den - d1
 
 
-def _theta_pair(V: ScalarField, z, zp) -> tuple[float, float]:
+def _theta_pair(V: ScalarField, z, zp, delta, dd) -> tuple[float, float]:
+    """``theta(z, zp)`` and ``theta(zp, z)``; ``delta = z - zp`` and ``dd = |delta|^2``."""
     if V.hint == "quadratic":
         return 0.5, 0.5
-    d1, d2 = _divergence_pair(V, z, zp)
+    d1, d2 = _divergence_pair(V, z, zp, delta)
     den = d1 + d2
-    delta = z - zp
-    if abs(den) <= _DENOMINATOR_TOL * float(delta @ delta):
+    if abs(den) <= _DENOMINATOR_TOL * dd:
         raise DegenerateDenominator(
-            f"curvature term {den:.3e} below tolerance for |z - z'|^2 = {float(delta @ delta):.3e}"
+            f"curvature term {den:.3e} below tolerance for |z - z'|^2 = {dd:.3e}"
         )
     return d1 / den, d2 / den
 
@@ -310,9 +328,11 @@ def theta_coefficient(V: ScalarField, z, zp) -> float:
     curvature term is too small relative to ``||z - z'||^2``.
     """
     z, zp = _as_pair(V, z, zp)
-    if _coincide(z, zp):
+    delta = z - zp
+    dd = float(delta @ delta)
+    if _coincide(z, dd):
         raise ValueError("theta_coefficient requires distinct points")
-    return _theta_pair(V, z, zp)[0]
+    return _theta_pair(V, z, zp, delta, dd)[0]
 
 
 def proper_gradient(V: ScalarField, z, zp) -> np.ndarray:
@@ -335,10 +355,12 @@ def discrete_gradient_info(
     if kind.variant == "midpoint":
         return midpoint_gradient(V, z, zp), False
     z, zp = _as_pair(V, z, zp)
-    if _coincide(z, zp):
+    delta = z - zp
+    dd = float(delta @ delta)
+    if _coincide(z, dd):
         return _gradient(V, z).copy(), False
     try:
-        t1, t2 = _theta_pair(V, z, zp)
+        t1, t2 = _theta_pair(V, z, zp, delta, dd)
     except DegenerateDenominator:
         return midpoint_gradient(V, z, zp), True
     return t1 * _gradient(V, z) + t2 * _gradient(V, zp), False

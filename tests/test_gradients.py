@@ -71,7 +71,7 @@ def test_linear_field_has_constant_gradient_and_zero_divergence():
     V = linear_field([2.0, -1.0])
     assert V.value(np.array([3.0, 4.0])) == pytest.approx(2.0)
     assert np.allclose(V.gradient(np.zeros(2)), [2.0, -1.0])
-    assert V.divergence(np.array([1.0, 1.0]), np.array([0.3, -0.2])) == 0.0
+    assert V.divergence(np.array([1.0, 1.0]), np.array([0.3, -0.2])) == (0.0, 0.0)
 
 
 def test_cosh_sum_field_matches_formulas():
@@ -81,12 +81,18 @@ def test_cosh_sum_field_matches_formulas():
     assert np.allclose(V.gradient(z), np.sinh(z))
 
 
+def direct_divergence(V, z, z0):
+    """The three-term definition ``V(z) - V(z0) - <grad V(z0), z - z0>``."""
+    return V.value(z) - V.value(z0) - V.gradient(z0) @ (z - z0)
+
+
 def test_cosh_divergence_matches_definition_at_moderate_offsets():
     V = cosh_sum_field(2)
     z0 = np.array([0.3, -0.7])
     z = z0 + np.array([0.9, 0.4])
-    direct = V.value(z) - V.value(z0) - V.gradient(z0) @ (z - z0)
-    assert V.divergence(z, z0) == pytest.approx(direct, rel=1e-13)
+    d1, d2 = V.divergence(z, z0)
+    assert d1 == pytest.approx(direct_divergence(V, z, z0), rel=1e-13)
+    assert d2 == pytest.approx(direct_divergence(V, z0, z), rel=1e-13)
 
 
 def test_cosh_divergence_series_branch_agrees_with_direct_formula():
@@ -95,10 +101,10 @@ def test_cosh_divergence_series_branch_agrees_with_direct_formula():
     V = cosh_sum_field(1)
     z0 = np.array([0.4])
     for h in (0.4999999, 0.5000001):
-        direct = (
-            math.cosh(z0[0] + h) - math.cosh(z0[0]) - math.sinh(z0[0]) * h
-        )
-        assert V.divergence(z0 + h, z0) == pytest.approx(direct, rel=1e-12)
+        a, b = z0[0], z0[0] + h
+        d1, d2 = V.divergence(z0 + h, z0)
+        assert d1 == pytest.approx(math.cosh(b) - math.cosh(a) - math.sinh(a) * h, rel=1e-12)
+        assert d2 == pytest.approx(math.cosh(a) - math.cosh(b) + math.sinh(b) * h, rel=1e-12)
 
 
 def exact_cosh_divergence(z, z0, terms=40):
@@ -126,21 +132,26 @@ KERNEL_OFFSETS = (1e-12, 1e-8, 1e-4, 0.1, 0.3, 0.4999999, 0.5, 0.5000001, 0.7, 1
 KERNEL_BASES = (-2.5, -1.3, 0.0, 0.4, 2.1)
 
 
+def assert_exact_cosh_divergences(V, z, z0, case):
+    """Both entries of ``V.divergence(z, z0)`` within 1e-15 of the exact series."""
+    d1, d2 = V.divergence(z, z0)
+    exact = exact_cosh_divergence(z, z0)
+    assert abs(Fraction(d1) - exact) <= 1e-15 * exact, case
+    exact = exact_cosh_divergence(z0, z)
+    assert abs(Fraction(d2) - exact) <= 1e-15 * exact, case
+
+
 @pytest.mark.parametrize("a", KERNEL_BASES)
 def test_cosh_divergence_matches_exact_series(a):
     V = cosh_sum_field(1)
     for m in KERNEL_OFFSETS:
         for h in (m, -m):
             z0 = np.array([a])
-            z = z0 + h
-            exact = exact_cosh_divergence(z, z0)
-            assert abs(Fraction(V.divergence(z, z0)) - exact) <= 1e-15 * exact, (a, h)
+            assert_exact_cosh_divergences(V, z0 + h, z0, (a, h))
     # all offsets at once, as components of one vector
     hs = np.array(KERNEL_OFFSETS + tuple(-m for m in KERNEL_OFFSETS))
     z0 = np.full(hs.size, a)
-    z = z0 + hs
-    exact = exact_cosh_divergence(z, z0)
-    assert abs(Fraction(cosh_sum_field(hs.size).divergence(z, z0)) - exact) <= 1e-15 * exact
+    assert_exact_cosh_divergences(cosh_sum_field(hs.size), z0 + hs, z0, a)
 
 
 def test_sinh_minus_identity_series_branch_is_accurate():
@@ -158,14 +169,43 @@ def test_sinh_minus_identity_series_branch_is_accurate():
 def test_cosh_divergence_vanishes_at_coincidence():
     V = cosh_sum_field(4)
     for z in (np.zeros(4), np.array([0.3, -2.5, 1e-9, 2.9]), np.full(4, -0.5)):
-        assert V.divergence(z, z) == 0.0
+        assert V.divergence(z, z) == (0.0, 0.0)
 
 
 def test_quartic_field_divergence_closed_form():
     V = convex_quartic_field([0.5])
     z0, z = np.array([0.7]), np.array([1.0])
-    direct = V.value(z) - V.value(z0) - V.gradient(z0) @ (z - z0)
-    assert V.divergence(z, z0) == pytest.approx(direct, rel=1e-13)
+    d1, d2 = V.divergence(z, z0)
+    assert d1 == pytest.approx(direct_divergence(V, z, z0), rel=1e-13)
+    assert d2 == pytest.approx(direct_divergence(V, z0, z), rel=1e-13)
+
+
+def builtin_fields(dim):
+    """One field of each built-in kind, with a divergence routine each."""
+    X = np.diag(np.arange(1.0, dim + 1.0)) + 0.1
+    return (
+        quadratic_field(X, linear=np.full(dim, 0.5)),
+        linear_field(np.linspace(-1.0, 1.0, dim)),
+        cosh_sum_field(dim),
+        convex_quartic_field(np.linspace(0.0, 2.0, dim)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(finite_coords, finite_coords), min_size=1, max_size=5))
+def test_divergence_pair_is_symmetric_and_sums_to_curvature_property(points):
+    z0 = np.array([p[0] for p in points])
+    z = np.array([p[1] for p in points])
+    for V in builtin_fields(z.size):
+        forward, backward = V.divergence(z, z0), V.divergence(z0, z)
+        assert backward == forward[::-1]
+        delta = z - z0
+        # closer than this, the two gradient evaluations of the reference
+        # curvature cancel too much for a 1e-12 comparison
+        if float(delta @ delta) < 1e-2:
+            continue
+        curvature = float((V.gradient(z) - V.gradient(z0)) @ delta)
+        assert sum(forward) == pytest.approx(curvature, rel=1e-12, abs=1e-300), V
 
 
 @pytest.mark.parametrize("hint", ["quadratic", "general"])

@@ -14,6 +14,7 @@ from daegrad.errors import (
     UnderdeterminedSystem,
 )
 import daegrad.integrators as integrators
+from daegrad import gradients
 from daegrad.gradients import ScalarField, cosh_sum_field, quadratic_field
 from daegrad.integrators import (
     NewtonConfig,
@@ -198,6 +199,41 @@ def test_dg_proper_conserves_nonquadratic_energy():
     V = traj.invariant_series("V")
     assert np.abs(V - V[0]).max() <= 1e-12
     assert not any(rec.fallback_used for rec in traj.records)
+
+
+def one_sided_cosh_divergence(z, z0):
+    """``D(z, z0)`` of the cosh sum by the one-sided formula, evaluated on its own."""
+    a = np.asarray(z0, dtype=float)
+    h = np.asarray(z, dtype=float) - a
+    s = np.sinh(0.5 * h)
+    return float(np.sum(np.cosh(a) * 2.0 * s * s + np.sinh(a) * gradients._sinh_minus_identity(h)))
+
+
+def test_cosh_divergence_pair_is_bitwise_two_one_sided_calls():
+    rng = np.random.default_rng(5)
+    V = cosh_sum_field(16)
+    for scale in (1e-9, 1e-3, 0.3, 0.5, 1.5):
+        z0 = rng.uniform(-3.0, 3.0, size=16)
+        z = z0 + scale * rng.uniform(-1.0, 1.0, size=16)
+        assert V.divergence(z, z0) == (one_sided_cosh_divergence(z, z0),
+                                       one_sided_cosh_divergence(z0, z))
+
+
+@pytest.mark.parametrize("scheme", ["dg-index1", "dg-proper"])
+def test_sinh_gordon_run_is_unchanged_by_the_paired_divergence(scheme):
+    # the reference field gets its pair from two one-sided calls; the
+    # trajectory and the Newton counts must agree bit for bit
+    spec = make_problem("sinh-gordon", grid=16)
+    reference = replace(spec.dae, V=replace(
+        spec.dae.V,
+        divergence=lambda z, z0: (one_sided_cosh_divergence(z, z0),
+                                  one_sided_cosh_divergence(z0, z)),
+    ))
+    runs = [integrate(dae, scheme, spec.default_initial_state, 0.1, 10, observers=spec.observers)
+            for dae in (spec.dae, reference)]
+    assert np.array_equal(runs[0].states(), runs[1].states())
+    assert [r.newton_iters for r in runs[0].records] == [r.newton_iters for r in runs[1].records]
+    assert [r.newton_residual for r in runs[0].records] == [r.newton_residual for r in runs[1].records]
 
 
 def test_dg_midpoint_dissipates_friction_energy():

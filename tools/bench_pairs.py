@@ -17,8 +17,9 @@ The output holds ``what``, ``method`` and ``host``; a ``summary`` per
 workload with, for every end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the ratio of the medians (change over
 parent) and the number of pairs the change won (ties count for neither);
-the traced records per workload; and ``records``, the last stdout line of
-every run.  The script exits with status 1 if a run failed or reported
+the traced records per workload and, in ``traced_counts``, every per-layer
+metric of unit ``count`` from them as parent, change and ratio; and
+``records``, the last stdout line of every run.  The script exits with status 1 if a run failed or reported
 ``"correct": false``, after writing the file.
 """
 
@@ -95,6 +96,23 @@ def summarize(records: list[dict], metrics: dict[str, str]) -> dict:
     return out
 
 
+TRACED_NOTE = ("per-layer counts of the one --trace 1 run per side; traced times are not "
+               "scaled for the host's speed and come from one run per side, so only "
+               "these counts compare across sides")
+
+
+def traced_counts(traced: dict, names: list[str]) -> dict:
+    """Parent, change and ratio (change over parent) of each count metric in
+    ``names`` for one workload's traced records; a missing value is None."""
+    out = {}
+    for name in names:
+        parent, change = (traced.get(s, {}).get("metrics", {}).get(name, {}).get("value")
+                          for s in SIDES)
+        ratio = change / parent if parent and change is not None else None
+        out[name] = {"parent": parent, "change": change, "ratio": ratio}
+    return {"note": TRACED_NOTE, "metrics": out}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -117,6 +135,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
     records = []
 
     def run(side, workload, seed, pair, trace):
@@ -140,6 +159,10 @@ def main(argv=None) -> int:
     names = {side: label(path) for side, path in checkouts.items()}
     traced = " and one --trace 1 run per side and workload, seed %d" % args.trace_seed \
         if args.trace_seed is not None else ""
+    traced_records = {
+        w: {r["side"]: r["record"] for r in records if r["workload"] == w and r["trace"] == 1}
+        for w in args.workload if args.trace_seed is not None
+    }
     result = {
         "what": f"benchmarks/run.py last-line records, parent {names['parent']} "
                 f"against change {names['change']}",
@@ -154,10 +177,8 @@ def main(argv=None) -> int:
             w: summarize([r for r in records if r["workload"] == w and r["trace"] == 0], metrics)
             for w in args.workload
         },
-        "traced": {
-            w: {r["side"]: r["record"] for r in records if r["workload"] == w and r["trace"] == 1}
-            for w in args.workload if args.trace_seed is not None
-        },
+        "traced": traced_records,
+        "traced_counts": {w: traced_counts(t, counts) for w, t in traced_records.items()},
         "records": records,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
