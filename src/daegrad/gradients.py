@@ -143,12 +143,17 @@ _SINH_SERIES = tuple(1.0 / math.factorial(2 * k + 3) for k in reversed(range(8))
 
 def _sinh_minus_identity(h: np.ndarray) -> np.ndarray:
     """``sinh(h) - h`` element-wise; where ``|h| <= 0.5`` the cancellation-free
-    Horner sum ``h^3 sum_{k<8} h^(2k) / (2k+3)!``, which reaches double precision."""
+    Horner sum ``h^3 sum_{k<8} h^(2k) / (2k+3)!``, which reaches double precision.
+    The direct difference is evaluated only when some ``|h|`` exceeds 0.5."""
     h2 = h * h
     poly = _SINH_SERIES[0]
     for c in _SINH_SERIES[1:]:
         poly = poly * h2 + c
-    return np.where(np.abs(h) <= 0.5, h * h2 * poly, np.sinh(h) - h)
+    series = h * h2 * poly
+    small = np.abs(h) <= 0.5
+    if small.all():
+        return series
+    return np.where(small, series, np.sinh(h) - h)
 
 
 def cosh_sum_field(dim: int, name: str = "") -> ScalarField:

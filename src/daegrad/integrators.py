@@ -20,8 +20,11 @@ state.  ``integrate`` drives a run, records per-step diagnostics, and
 returns the partial trajectory inside a :class:`StepFailure` if a step
 fails mid-run.  From its second step on, ``integrate`` starts Newton at
 the line ``2 z_m - z_{m-1}`` through the last two states, and solves
-again from ``z_m`` if that start fails; schemes that leave null-space
-components free keep starting at ``z_m``.
+again from ``z_m`` if that start fails.  A plain discrete-gradient scheme
+on a singular ``A`` leaves the null-space components to the algebraic
+rows; it gets the line start only on a system that is index 1 at ``z0``
+(the algebraic rows fix those components there), and otherwise keeps
+starting at ``z_m``.
 """
 
 from __future__ import annotations
@@ -95,7 +98,10 @@ class NewtonResult(NamedTuple):
     residual_norm: float
 
 
-def _fd_jacobian(residual, w, r0, h):
+def _fd_jacobian(residual, w, r0):
+    """Forward-difference Jacobian at ``w``, ``r0 = residual(w)``, with the
+    step ``sqrt(eps) (1 + max |w|)`` in every coordinate."""
+    h = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(w))))
     J = np.empty((r0.shape[0], w.shape[0]))
     for j in range(w.shape[0]):
         wj = w.copy()
@@ -130,8 +136,7 @@ def newton_solve(
         if jacobian is not None:
             J = np.asarray(jacobian(w), dtype=float)
         else:
-            h = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(w))))
-            J = _fd_jacobian(residual, w, r, h)
+            J = _fd_jacobian(residual, w, r)
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -174,9 +179,9 @@ class _Scheme(NamedTuple):
     components.  ``kind`` and ``V`` name the interior-division gradient
     whose midpoint fallback is reported (``kind`` is None for gradients
     that cannot fall back); ``free_null_space`` marks a scheme that leaves
-    the null-space components of a singular mass matrix undetermined.
-    Such a scheme gets no predicted Newton start in :func:`integrate`,
-    since its null-space components need not follow a smooth line.
+    the null-space components of a singular mass matrix to the system's
+    algebraic rows, so that a singular Newton Jacobian is reported as
+    :class:`UnderdeterminedSystem`.
     """
 
     build: Callable
@@ -379,6 +384,27 @@ def project_to_constraint(dae, z0, cfg: NewtonConfig = NewtonConfig()) -> np.nda
     return z0 + E @ sol.w
 
 
+def _fixes_null_space(dae, z) -> bool:
+    """Do the algebraic rows of ``dae`` fix its null-space components at ``z``?
+
+    Forms the ``l x l`` matrix ``W = B^T (df/dz) E`` by forward differences
+    of :func:`~daegrad.model.implicit_constraint_residual` along the
+    columns of the null basis ``E``, and answers whether it has full rank,
+    which makes the system index 1 at ``z``.  A non-finite ``W`` answers
+    no.
+    """
+    from .model import implicit_constraint_residual
+
+    E = dae.subspaces.null_basis
+
+    def along_null_space(s):
+        return implicit_constraint_residual(dae, z + E @ s)
+
+    s = np.zeros(E.shape[1])
+    W = _fd_jacobian(along_null_space, s, along_null_space(s))
+    return bool(np.all(np.isfinite(W)) and np.linalg.matrix_rank(W) == E.shape[1])
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """State and diagnostics after one accepted step (or the initial state)."""
@@ -439,8 +465,12 @@ def integrate(
     named scalar fields whose values are recorded at every state.  The
     first Newton solve starts at ``z0``; each later one starts at the
     linear extrapolation ``2 z_m - z_{m-1}`` of the last two states, and
-    if that solve fails it is solved again from ``z_m``.  Schemes that
-    leave null-space components undetermined always start at ``z_m``.
+    if that solve fails it is solved again from ``z_m``.  A plain
+    discrete-gradient scheme on a singular ``A`` gets the line start only
+    when the system is index 1 at ``z0``, that is when the algebraic rows
+    fix the null-space components; otherwise, as on the index-3 pendulum
+    and friction problems, whose multiplier the scheme fixes only through
+    averages, it always starts at ``z_m``.
     The redundant force of the index-1 scheme always starts at zero.  The
     index-1 scheme first projects ``z0`` onto the constraint manifold, and
     a non-finite ``z0`` raises ``ValueError``.  ``newton_iters`` counts
@@ -466,9 +496,10 @@ def integrate(
     traj.records.append(
         StepRecord(0, 0.0, z.copy(), observe(z), _constraint_norm(target, z), 0.0, 0, 0.0, False)
     )
+    predict = not bound.free_null_space or _fixes_null_space(target, z)
     prev = None
     for m in range(1, steps + 1):
-        guess = None if prev is None or bound.free_null_space else 2.0 * z - prev
+        guess = 2.0 * z - prev if predict and prev is not None else None
         try:
             result = _advance(bound, z, dt, cfg, guess)
         except (DaegradError, np.linalg.LinAlgError) as exc:

@@ -166,6 +166,16 @@ def test_sinh_minus_identity_series_branch_is_accurate():
         assert abs(Fraction(float(value)) - exact) <= 1e-15 * abs(exact), h
 
 
+def test_sinh_minus_identity_selects_the_branch_entry_by_entry():
+    # one entry above 0.5 switches to the direct branch; every entry must
+    # still be bitwise what its own branch gives
+    hs = np.array([0.05, -0.3, 0.5, 0.51, -0.7, 1e-9, 3.0, -0.5000001])
+    small = np.abs(hs) <= 0.5
+    got = gradients._sinh_minus_identity(hs)
+    assert np.array_equal(got[small], gradients._sinh_minus_identity(hs[small]))
+    assert np.array_equal(got[~small], (np.sinh(hs) - hs)[~small])
+
+
 def test_cosh_divergence_vanishes_at_coincidence():
     V = cosh_sum_field(4)
     for z in (np.zeros(4), np.array([0.3, -2.5, 1e-9, 2.9]), np.full(4, -0.5)):

@@ -19,8 +19,11 @@ side's median and quartiles, the ratio of the medians (change over
 parent) and the number of pairs the change won (ties count for neither);
 the traced records per workload and, in ``traced_counts``, every per-layer
 metric of unit ``count`` from them as parent, change and ratio; and
-``records``, the last stdout line of every run.  The script exits with status 1 if a run failed or reported
-``"correct": false``, after writing the file.
+``records``, the last stdout line of every run.  A run that outlasts
+``RUN_TIMEOUT_FLOOR_S + RUN_TIMEOUT_FACTOR * --seconds`` is stopped and
+recorded as ``"correct": false`` with the error ``"timed out"``.  The
+script exits with status 1 if a run failed or reported ``"correct":
+false``, after writing the file.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# A run lasts about --seconds plus set-up samples, calibration and a warm-up
+# repeat; these bound it generously, so that only a hung run reaches them.
+RUN_TIMEOUT_FLOOR_S = 300.0
+RUN_TIMEOUT_FACTOR = 10.0
 
 
 def label(checkout: Path) -> str:
@@ -50,7 +57,11 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: 
     """One ``benchmarks/run.py`` run; its last stdout line, or an error record."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_FLOOR_S + RUN_TIMEOUT_FACTOR * seconds)
+    except subprocess.TimeoutExpired:
+        return {"correct": False, "error": "timed out"}
     lines = proc.stdout.strip().splitlines()
     try:
         record = json.loads(lines[-1])
