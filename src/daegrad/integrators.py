@@ -467,10 +467,9 @@ def integrate(
     linear extrapolation ``2 z_m - z_{m-1}`` of the last two states, and
     if that solve fails it is solved again from ``z_m``.  A plain
     discrete-gradient scheme on a singular ``A`` gets the line start only
-    when the system is index 1 at ``z0``, that is when the algebraic rows
-    fix the null-space components; otherwise, as on the index-3 pendulum
-    and friction problems, whose multiplier the scheme fixes only through
-    averages, it always starts at ``z_m``.
+    when the system is index 1 at ``z0`` (its algebraic rows fix the
+    null-space components there); on index-3 systems such as the pendulum
+    it always starts at ``z_m``.
     The redundant force of the index-1 scheme always starts at zero.  The
     index-1 scheme first projects ``z0`` onto the constraint manifold, and
     a non-finite ``z0`` raises ``ValueError``.  ``newton_iters`` counts
