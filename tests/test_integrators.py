@@ -630,13 +630,8 @@ def test_free_null_space_schemes_start_at_the_current_state(name, scheme, monkey
         assert np.array_equal(start, rec.state)
 
 
-@pytest.mark.parametrize(
-    "name, scheme",
-    [("sinh-gordon", "dg-index1"), ("smhs", "implicit-euler"),
-     ("sinh-gordon", "dg-avf"), ("sinh-gordon", "dg-proper")],
-)
-def test_integrate_starts_later_steps_on_the_line_through_two_states(name, scheme, monkeypatch):
-    spec = make_problem(name, grid=8) if name == "sinh-gordon" else make_problem(name)
+def _assert_line_starts(spec, scheme, monkeypatch):
+    """Run three steps and check that steps 2 and 3 start at ``2 z_m - z_{m-1}``."""
     extra = integrators._bind(spec.dae, scheme).extra
     starts = _record_starts(monkeypatch)
     traj = integrate(spec.dae, scheme, spec.default_initial_state, 0.1, 3)
@@ -645,6 +640,20 @@ def test_integrate_starts_later_steps_on_the_line_through_two_states(name, schem
     assert np.array_equal(steps[0], np.concatenate([z[0], np.zeros(extra)]))
     assert np.array_equal(steps[1], np.concatenate([2.0 * z[1] - z[0], np.zeros(extra)]))
     assert np.array_equal(steps[2], np.concatenate([2.0 * z[2] - z[1], np.zeros(extra)]))
+
+
+@pytest.mark.parametrize("name, scheme", [("sinh-gordon", "dg-index1"), ("smhs", "implicit-euler")])
+def test_integrate_starts_later_steps_on_the_line_through_two_states(name, scheme, monkeypatch):
+    spec = make_problem(name, grid=8) if name == "sinh-gordon" else make_problem(name)
+    _assert_line_starts(spec, scheme, monkeypatch)
+
+
+@pytest.mark.parametrize("scheme", ["dg-avf", "dg-proper"])
+def test_plain_schemes_on_an_index1_lattice_start_on_the_line(scheme, monkeypatch):
+    # the lattice's algebraic rows fix its null-space components
+    spec = make_problem("sinh-gordon", grid=8)
+    assert integrators._bind(spec.dae, scheme).free_null_space
+    _assert_line_starts(spec, scheme, monkeypatch)
 
 
 @pytest.mark.parametrize("error", [NoConvergence(1, 1.0), SingularJacobian("test")])
