@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "DaegradError",
+    "DegenerateDenominator",
+    "RankDeficientConstraints",
+    "VanishingGradient",
+    "VanishingDissipation",
+    "NewtonError",
+    "NoConvergence",
+    "SingularJacobian",
+    "UnderdeterminedSystem",
+    "StepFailure",
+    "FallbackCompromisedConservation",
+]
+
 
 class DaegradError(Exception):
     """Base class for every error this package raises deliberately."""

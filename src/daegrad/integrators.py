@@ -50,6 +50,7 @@ from .gradients import (
     discrete_gradient_info,
     midpoint_gradient,
 )
+from . import model
 from .model import ConstrainedHamiltonian, GeneralDAE, LinearGradientDAE
 
 __all__ = [
@@ -375,34 +376,29 @@ def project_to_constraint(dae, z0, cfg: NewtonConfig = NewtonConfig()) -> np.nda
     E = dae.subspaces.null_basis
     if E.shape[1] == 0:
         return z0.copy()
-    B = dae.subspaces.range_perp_basis
-
-    def residual(s):
-        return B.T @ np.asarray(dae.f(z0 + E @ s), dtype=float)
-
-    sol = newton_solve(residual, np.zeros(E.shape[1]), cfg)
+    sol = newton_solve(_null_space_slice(dae, z0), np.zeros(E.shape[1]), cfg)
     return z0 + E @ sol.w
+
+
+def _null_space_slice(dae, z):
+    """``s -> B^T f(z + E s)``: the implicit-constraint residual of ``dae``
+    along the columns of its null basis ``E``, through ``z``."""
+    E = dae.subspaces.null_basis
+    return lambda s: model.implicit_constraint_residual(dae, z + E @ s)
 
 
 def _fixes_null_space(dae, z) -> bool:
     """Do the algebraic rows of ``dae`` fix its null-space components at ``z``?
 
     Forms the ``l x l`` matrix ``W = B^T (df/dz) E`` by forward differences
-    of :func:`~daegrad.model.implicit_constraint_residual` along the
-    columns of the null basis ``E``, and answers whether it has full rank,
+    of :func:`_null_space_slice`, and answers whether it has full rank,
     which makes the system index 1 at ``z``.  A non-finite ``W`` answers
     no.
     """
-    from .model import implicit_constraint_residual
-
-    E = dae.subspaces.null_basis
-
-    def along_null_space(s):
-        return implicit_constraint_residual(dae, z + E @ s)
-
-    s = np.zeros(E.shape[1])
+    along_null_space = _null_space_slice(dae, z)
+    s = np.zeros(dae.subspaces.nullity)
     W = _fd_jacobian(along_null_space, s, along_null_space(s))
-    return bool(np.all(np.isfinite(W)) and np.linalg.matrix_rank(W) == E.shape[1])
+    return bool(np.all(np.isfinite(W)) and np.linalg.matrix_rank(W) == s.shape[0])
 
 
 @dataclass(frozen=True)
@@ -443,9 +439,7 @@ class Trajectory:
 def _constraint_norm(target, z: np.ndarray) -> float:
     if isinstance(target, ConstrainedHamiltonian):
         return float(np.linalg.norm(target.constraint_values(z[: target.n])))
-    from .model import implicit_constraint_residual
-
-    res = implicit_constraint_residual(target, z)
+    res = model.implicit_constraint_residual(target, z)
     return float(np.linalg.norm(res)) if res.size else 0.0
 
 
@@ -475,7 +469,9 @@ def integrate(
     a non-finite ``z0`` raises ``ValueError``.  ``newton_iters`` counts
     the iterations of the solve that was accepted.
     Returns ``steps + 1`` records; a solver or linear-algebra error in a
-    step raises :class:`StepFailure` carrying the partial trajectory.
+    step raises :class:`StepFailure` carrying the partial trajectory, and
+    one in the projection raises it for step 0 with the unprojected
+    ``z0`` as the only record.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
@@ -485,16 +481,21 @@ def integrate(
     z = np.asarray(z0, dtype=float).copy()
     if not np.all(np.isfinite(z)):
         raise ValueError("z0 must be finite")
-    if scheme == "dg-index1":
-        z = project_to_constraint(target, z, cfg)
 
     def observe(state):
         return {obs.name or f"observer{i}": float(obs.value(state)) for i, obs in enumerate(observers)}
 
-    traj = Trajectory()
-    traj.records.append(
-        StepRecord(0, 0.0, z.copy(), observe(z), _constraint_norm(target, z), 0.0, 0, 0.0, False)
-    )
+    def initial(state):
+        record = StepRecord(0, 0.0, state.copy(), observe(state), _constraint_norm(target, state),
+                            0.0, 0, 0.0, False)
+        return Trajectory([record])
+
+    if bound.extra:
+        try:
+            z = project_to_constraint(target, z, cfg)
+        except (DaegradError, np.linalg.LinAlgError) as exc:
+            raise StepFailure(0, exc, initial(z)) from exc
+    traj = initial(z)
     predict = not bound.free_null_space or _fixes_null_space(target, z)
     prev = None
     for m in range(1, steps + 1):

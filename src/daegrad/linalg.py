@@ -3,9 +3,8 @@
 This module computes the Moore-Penrose pseudoinverse of a (possibly
 singular) square matrix, with the numerical rank set by a fixed relative
 singular-value cutoff, together with orthonormal bases of the subspaces
-that organize a linear-gradient DAE: the null space of the mass matrix,
-its orthogonal complement (the row space), and the orthogonal complement
-of the range.  It also provides orthogonal projections onto such bases and
+that organize a linear-gradient DAE: the null space of the mass matrix
+and the orthogonal complement of its range.  It also provides orthogonal projections onto such bases and
 the two matrix predicates used to verify conservation and dissipation
 structure: skew-symmetry and negative semidefiniteness.
 
@@ -26,9 +25,7 @@ __all__ = [
     "pseudo_inverse",
     "project",
     "penrose_residuals",
-    "SkewCheck",
     "is_skew_symmetric",
-    "SemidefiniteCheck",
     "is_negative_semidefinite",
 ]
 
@@ -55,10 +52,6 @@ class SubspaceData:
         rank: numerical rank determined by the singular-value cutoff.
         null_basis: shape ``(d, l)``, orthonormal columns spanning the
             null space; ``l = d - rank``.
-        row_basis: shape ``(d, rank)``, orthonormal columns spanning the
-            row space, i.e. the orthogonal complement of the null space.
-            This is the subspace on which the matrix acts injectively and
-            equals the range of ``pinv``.
         range_perp_basis: shape ``(d, l)``, orthonormal columns spanning
             the orthogonal complement of the range.  For a DAE with this
             mass matrix, these directions read off the implicit
@@ -68,7 +61,6 @@ class SubspaceData:
     pinv: np.ndarray
     rank: int
     null_basis: np.ndarray
-    row_basis: np.ndarray
     range_perp_basis: np.ndarray
 
     @property
@@ -98,7 +90,6 @@ def pseudo_inverse(A) -> SubspaceData:
         pinv=pinv,
         rank=rank,
         null_basis=Vt[rank:].T.copy(),
-        row_basis=Vt[:rank].T.copy(),
         range_perp_basis=U[:, rank:].copy(),
     )
 

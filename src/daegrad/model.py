@@ -89,7 +89,8 @@ class LinearGradientDAE:
 
     ``structure_claim`` records what the factorization is supposed to
     deliver ("conservative", "dissipative" or "none"); it is verified by
-    :func:`verify_structure`, not enforced at construction.
+    :func:`verify_structure`, not enforced at construction.  ``A`` and
+    ``subspaces`` are set up as for :class:`GeneralDAE`.
     """
 
     A: np.ndarray
@@ -102,14 +103,9 @@ class LinearGradientDAE:
     def __post_init__(self):
         if self.structure_claim not in _CLAIMS:
             raise ValueError(f"unknown structure claim {self.structure_claim!r}")
-        A = np.asarray(self.A, dtype=float)
-        object.__setattr__(self, "A", A)
-        if self.subspaces is None:
-            object.__setattr__(self, "subspaces", pseudo_inverse(A))
+        GeneralDAE.__post_init__(self)
 
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
+    dim = GeneralDAE.dim
 
     def f(self, z: np.ndarray) -> np.ndarray:
         return self.S(z) @ np.asarray(self.V.gradient(z), dtype=float)
@@ -141,12 +137,8 @@ class ConstrainedHamiltonian:
                 raise ValueError("each constraint must act on the q block")
 
     @property
-    def h(self) -> int:
-        return len(self.constraints)
-
-    @property
     def dim(self) -> int:
-        return 2 * self.n + self.h
+        return 2 * self.n + len(self.constraints)
 
     def constraint_values(self, q: np.ndarray) -> np.ndarray:
         return np.array([g.value(q) for g in self.constraints])

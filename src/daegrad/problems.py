@@ -42,10 +42,8 @@ from .model import ConstrainedHamiltonian, GeneralDAE, LinearGradientDAE
 __all__ = [
     "ProblemSpec",
     "make_smhs",
-    "make_constrained_hamiltonian",
     "make_friction",
     "make_mixed_derivative",
-    "make_linear_invariant_fixture",
     "PROBLEM_NAMES",
     "make_problem",
 ]
@@ -187,7 +185,7 @@ def make_constrained_hamiltonian() -> ProblemSpec:
         name="pendulum",
         schemes=("gonzalez", "dg-midpoint", "implicit-euler"),
         index_note="index 3 (holonomic constraint)",
-        notes="constant S",
+        notes="",
         gonzalez=ConstrainedHamiltonian(n=2, hamiltonian=H_qp, constraints=(g_q,)),
     )
 
@@ -236,7 +234,7 @@ def make_friction(friction=(0.1, 0.1)) -> ProblemSpec:
         default_initial_state=np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
         schemes=("dg-midpoint", "implicit-euler"),  # the others ignore the index-3 constraint
         index_note="index 3 (holonomic constraint with friction)",
-        notes="constant S; nonzero velocity needed for a strict dissipation rate",
+        notes="nonzero velocity needed for a strict dissipation rate",
         sample_on_manifold=sampler,
     )
 
@@ -292,7 +290,7 @@ def make_mixed_derivative(grid: int = 32, length: float = 2.0 * math.pi, amplitu
         # dg-midpoint fails within 15 steps at any dt from 0.1 down to 0.001
         schemes=("dg-index1", "dg-proper", "dg-avf", "implicit-euler"),
         index_note="uniform index-1",
-        notes="constant S (average circulant); forward differences with periodic wrap",
+        notes="forward differences with periodic wrap",
         sample_on_manifold=sampler,
     )
 

@@ -262,7 +262,7 @@ def test_check_conservative_structure(capsys):
 
 
 def test_check_constant_s_label_follows_the_system(monkeypatch, capsys):
-    # the pendulum's notes still say "constant S", but this S is a fresh copy per call
+    # the pendulum's S, but as a fresh copy per call
     spec = make_problem("pendulum")
     S0 = spec.dae.S(spec.default_initial_state)
     fresh = replace(spec, dae=replace(spec.dae, S=lambda z: S0.copy()))

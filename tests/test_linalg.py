@@ -60,7 +60,7 @@ def test_zero_matrix_has_zero_pinv_and_full_null_space():
     assert sub.rank == 0
     assert np.all(sub.pinv == 0.0)
     assert sub.null_basis.shape == (4, 4)
-    assert sub.row_basis.shape == (4, 0)
+    assert sub.null_basis.shape[1] == 4 - sub.rank
 
 
 def test_invertible_matrix_pinv_is_inverse():
@@ -104,12 +104,10 @@ def test_subspace_bases_are_orthonormal_and_complementary(dim, seed):
     r = int(rng.integers(1, dim))
     A = rng.normal(size=(dim, r)) @ rng.normal(size=(r, dim))
     sub = pseudo_inverse(A)
-    for basis in (sub.null_basis, sub.row_basis, sub.range_perp_basis):
+    for basis in (sub.null_basis, sub.range_perp_basis):
         if basis.shape[1]:
             assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
-    assert sub.null_basis.shape[1] + sub.row_basis.shape[1] == dim
-    if sub.null_basis.shape[1] and sub.row_basis.shape[1]:
-        assert np.allclose(sub.null_basis.T @ sub.row_basis, 0.0, atol=1e-12)
+    assert sub.null_basis.shape[1] == dim - sub.rank
 
 
 def test_project_onto_null_direction():

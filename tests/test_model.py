@@ -74,7 +74,6 @@ def test_constrained_hamiltonian_validates_dimensions():
     H = quadratic_field(np.eye(4))
     g = ScalarField(dim=2, value=lambda q: 0.0, gradient=lambda q: np.zeros(2))
     system = ConstrainedHamiltonian(n=2, hamiltonian=H, constraints=(g,))
-    assert system.h == 1
     assert system.dim == 5
     with pytest.raises(ValueError):
         ConstrainedHamiltonian(n=3, hamiltonian=H, constraints=(g,))
