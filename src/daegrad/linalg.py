@@ -4,9 +4,10 @@ This module computes the Moore-Penrose pseudoinverse of a (possibly
 singular) square matrix, with the numerical rank set by a fixed relative
 singular-value cutoff, together with orthonormal bases of the subspaces
 that organize a linear-gradient DAE: the null space of the mass matrix
-and the orthogonal complement of its range.  It also provides orthogonal projections onto such bases and
-the two matrix predicates used to verify conservation and dissipation
-structure: skew-symmetry and negative semidefiniteness.
+and the orthogonal complement of its range.  It also provides orthogonal
+projections onto such bases and the two matrix predicates used to verify
+conservation and dissipation structure: skew-symmetry and negative
+semidefiniteness.
 
 Everything operates on plain ``numpy`` float arrays.  Inputs are treated
 as immutable and no function keeps state, so all routines are safe to call

@@ -150,6 +150,19 @@ def test_solver_failure_keeps_partial_csv_and_exits_two(tmp_path, capsys):
     assert "step 1 failed" in capsys.readouterr().err
 
 
+def test_failed_start_projection_keeps_initial_row_and_exits_two(tmp_path, capsys):
+    out = tmp_path / "partial.csv"
+    code = run_cli(
+        "run", "--problem", "sinh-gordon", "--scheme", "dg-index1", "--steps", "3",
+        "--newton-tol", "1e-300", "--newton-max-iters", "1", "--out", str(out),
+    )
+    assert code == 2
+    lines = out.read_text().splitlines()
+    assert lines[-1] == "# failed at step 0"
+    assert len(lines) == 3  # header, initial record, failure marker
+    assert "error: step 0 failed: no convergence" in capsys.readouterr().err
+
+
 def test_config_file_supplies_values_and_flags_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -229,6 +229,20 @@ def test_scalar_field_rejects_unknown_hints(hint):
         ScalarField(1, lambda u: 0.0, lambda u: 0.0, hint=hint)
 
 
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: ScalarField(0, lambda u: 0.0, lambda u: 0.0), "dim must be positive"),
+        (lambda: quadratic_field(np.ones((2, 3))), "must be square"),
+        (lambda: convex_quartic_field([1.0, -0.5]), "must be nonnegative"),
+    ],
+    ids=["zero-dim", "nonsquare-quadratic", "negative-curvature"],
+)
+def test_field_constructors_reject_bad_input(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
 # ------------------------------------------------- averaged (AVF) variant
 
 

@@ -259,6 +259,14 @@ def test_dg_underdetermined_null_component_detected():
         step(dae, "dg-midpoint", np.array([1.0, 0.3]), 0.1)
 
 
+def test_singular_jacobian_without_free_null_space_is_not_underdetermined():
+    # implicit Euler leaves no null-space component free; 0 z' = 1 has no solution
+    dae = GeneralDAE(np.zeros((1, 1)), lambda z: np.ones(1))
+    with pytest.raises(SingularJacobian) as info:
+        step(dae, "implicit-euler", np.zeros(1), 0.1)
+    assert not isinstance(info.value, UnderdeterminedSystem)
+
+
 def test_dg_conserves_with_state_dependent_structure():
     # the rotation speed 1 + z0^2 varies along the orbit, so the averaged
     # structure matrix differs from both endpoint values at every step
@@ -495,6 +503,19 @@ def test_integrate_step_failure_carries_partial_trajectory():
     assert failure.step_index == 1
     assert isinstance(failure.cause, NoConvergence)
     assert len(failure.trajectory) == 1  # only the initial record survived
+
+
+def test_failed_start_projection_is_a_step_zero_failure():
+    spec = make_problem("sinh-gordon", grid=8)
+    z0 = spec.default_initial_state + 0.2
+    starved = NewtonConfig(residual_tol=1e-300, max_iters=1)
+    with pytest.raises(StepFailure) as info:
+        integrate(spec.dae, "dg-index1", z0, 0.1, 3, cfg=starved)
+    failure = info.value
+    assert failure.step_index == 0
+    assert isinstance(failure.cause, NoConvergence)
+    assert len(failure.trajectory) == 1
+    assert np.array_equal(failure.trajectory.final_state, z0)  # not projected
 
 
 def test_integrate_wraps_linear_algebra_errors_as_step_failures():

@@ -132,6 +132,11 @@ def test_project_rejects_non_orthonormal_basis():
         project(bad, np.ones(3))
 
 
+def test_project_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        project(np.eye(3), np.ones(2))
+
+
 def test_project_with_empty_basis_returns_zeros():
     basis = np.zeros((3, 0))
     assert np.all(project(basis, np.array([1.0, 2.0, 3.0])) == 0.0)

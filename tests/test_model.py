@@ -183,6 +183,15 @@ def test_properize_rejects_constraints_blind_to_null_space():
         properize(linear_field(np.ones(2)), dae).gradient(np.ones(2))
 
 
+def test_properize_rejects_nearly_dependent_constraints():
+    # z2 and z2 + 1e-8 z3 span the null space of diag(1, 0, 0) only barely
+    g1 = linear_field(np.array([0.0, 1.0, 0.0]))
+    g2 = linear_field(np.array([0.0, 1.0, 1e-8]))
+    dae = GeneralDAE(np.diag([1.0, 0.0, 0.0]), lambda z: -z, constraints=(g1, g2))
+    with pytest.raises(RankDeficientConstraints, match="numerically rank deficient"):
+        properize(linear_field(np.ones(3)), dae).gradient(np.ones(3))
+
+
 # ---------------------------------------------------- structure verdicts
 
 
