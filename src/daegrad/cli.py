@@ -187,13 +187,12 @@ def _execute_run(args: argparse.Namespace) -> int:
         print(f"error: problem {spec.name!r} ({spec.index_note}) does not accept scheme "
               f"{scheme!r}; accepted: {', '.join(spec.schemes)}", file=sys.stderr)
         return 1
-    target = spec.gonzalez if scheme == "gonzalez" else spec.dae
     newton_cfg = NewtonConfig(residual_tol=args.newton_tol, max_iters=args.newton_max_iters)
 
     failure: StepFailure | None = None
     try:
         traj = integrate(
-            target,
+            spec.dae,
             scheme,
             spec.default_initial_state,
             args.dt,

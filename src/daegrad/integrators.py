@@ -12,8 +12,9 @@ on a forward-difference Jacobian.  The schemes, by name:
   augmented with a redundant null-space force ``B c`` and the explicit
   constraint block ``B^T S(z1) grad V(z1) = 0``, which lands every step
   on the constraint manifold while conserving ``V``.
-* ``gonzalez`` - discrete-gradient scheme for canonical systems with
-  holonomic constraints, enforcing ``g(q1) + g(q0) = 0``.
+* ``gonzalez`` - the same scheme with Gonzalez's gradient of the augmented
+  energy ``V = H + lam^T g`` of a system that declares its ``hamiltonian``;
+  it enforces ``g(x1) + g(x0) = 0`` and fixes only the multipliers' average.
 
 ``step`` takes one step of any of them, starting Newton at the current
 state.  ``integrate`` drives a run, records per-step diagnostics, and
@@ -51,7 +52,7 @@ from .gradients import (
     midpoint_gradient,
 )
 from . import model
-from .model import ConstrainedHamiltonian, GeneralDAE, LinearGradientDAE
+from .model import GeneralDAE, LinearGradientDAE
 
 __all__ = [
     "NewtonConfig",
@@ -199,9 +200,7 @@ def _implicit_euler(dae) -> _Scheme:
     constraint to solver tolerance, because the constraint equations are a
     fixed linear combination of the residual rows.
     """
-    if isinstance(dae, LinearGradientDAE):
-        dae = dae.as_general()
-    if not isinstance(dae, GeneralDAE):
+    if not isinstance(dae, (GeneralDAE, LinearGradientDAE)):
         raise ValueError("scheme 'implicit-euler' needs a system A z' = f(z)")
     A = dae.A
 
@@ -226,21 +225,28 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     where ``B`` spans the orthogonal complement of ``range(A)``.  The extra
     block lands every step exactly on the constraint manifold; the
     redundant force ``c`` is zero in exact arithmetic, and its computed
-    size is a solver diagnostic.
+    size is a solver diagnostic.  ``gonzalez`` uses :func:`_augmented_gradient`.
     """
     if not isinstance(dae, LinearGradientDAE):
         raise ValueError(f"scheme {scheme!r} needs a linear-gradient system")
     index1 = scheme == "dg-index1"
-    kind = DiscreteGradientKind("proper" if index1 else scheme.removeprefix("dg-"))
     A, V, d = dae.A, dae.V, dae.dim
     B = dae.subspaces.range_perp_basis
+    if scheme == "gonzalez":
+        kind, gradient_from = None, _augmented_gradient(dae)
+    else:
+        kind = DiscreteGradientKind("proper" if index1 else scheme.removeprefix("dg-"))
+
+        def gradient_from(z):
+            return lambda zp: discrete_gradient_info(kind, V, zp, z)[0]
 
     def build(z, dt):
         S0 = dae.S(z)
+        gradient = gradient_from(z)
 
         def residual(w):
             zp = w[:d]
-            gbar, _ = discrete_gradient_info(kind, V, zp, z)
+            gbar = gradient(zp)
             S1 = dae.S(zp)
             # a constant S comes back as the same object: Sbar = S, one product
             Sg = S1 @ gbar if S1 is S0 else 0.5 * (S1 @ gbar + S0 @ gbar)
@@ -254,62 +260,55 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
 
     if index1:
         return _Scheme(build, B.shape[1], kind, V)
+    if kind is None:
+        return _Scheme(build)
     fallback_kind = kind if kind.variant == "proper" else None
     return _Scheme(build, 0, fallback_kind, V, free_null_space=dae.subspaces.nullity > 0)
 
 
-def _gonzalez(system) -> _Scheme:
-    """Discrete-gradient step for a constrained canonical system.
+def _augmented_gradient(dae):
+    """``z0 -> (z1 -> gbar)``: Gonzalez's discrete gradient of ``V = H(x) + lam^T g(x)``.
 
-    With state ``(q, p, lam)`` and the midpoint discrete gradient
-    ``(gbar_q, gbar_p)`` of the Hamiltonian over the ``(q, p)`` pair,
-    solves
-
-        (q1 - q0) / dt = gbar_p ,
-        (p1 - p0) / dt = -gbar_q - Jbar_g^T (lam1 + lam0) / 2 ,
-        g(q1) + g(q0) = 0 ,
-
-    where row ``j`` of ``Jbar_g`` is the midpoint discrete gradient of the
-    ``j``-th constraint over ``(q1, q0)``.  Conserves the Hamiltonian and
-    flips the sign of any initial constraint violation (so consistent
-    initial data stays on the constraint manifold).
+    With ``lam = E^T z`` and ``x = z - E lam`` as in :class:`LinearGradientDAE`,
+    ``gbar = P (Hbar + sum_j lam_bar_j gbar_j) + E g_bar``, where ``Hbar`` and
+    ``gbar_j`` are midpoint gradients over ``(x1, x0)``, ``lam_bar`` and
+    ``g_bar`` endpoint averages, and ``P = I - E E^T``.  The discrete chain
+    rule holds exactly: ``lam1 g1 - lam0 g0 = lam_bar (g1 - g0) + g_bar (lam1 - lam0)``.
     """
-    if not isinstance(system, ConstrainedHamiltonian):
-        raise ValueError("scheme 'gonzalez' needs a constrained canonical system")
-    n, H = system.n, system.hamiltonian
+    H, constraints, E = dae.hamiltonian, dae.constraints, dae.subspaces.null_basis
+    if H is None:
+        raise ValueError("scheme 'gonzalez' needs a system that declares its hamiltonian")
+    if not 0 < E.shape[1] == len(constraints):
+        raise ValueError(f"scheme 'gonzalez' needs a singular A and one constraint per null-space "
+                         f"direction; nullity {E.shape[1]}, {len(constraints)} constraints")
 
-    def build(z, dt):
-        q0, p0, lam0 = z[:n], z[n : 2 * n], z[2 * n :]
-        g0 = system.constraint_values(q0)
+    P = np.eye(dae.dim) - E @ E.T
 
-        def residual(w):
-            q1, p1, lam1 = w[:n], w[n : 2 * n], w[2 * n :]
-            gbar = midpoint_gradient(H, np.concatenate([q1, p1]), np.concatenate([q0, p0]))
-            lam_mid = 0.5 * (lam1 + lam0)
-            force = np.zeros(n)
-            for j, g in enumerate(system.constraints):
-                force += lam_mid[j] * midpoint_gradient(g, q1, q0)
-            return np.concatenate(
-                [
-                    (q1 - q0) / dt - gbar[n:],
-                    (p1 - p0) / dt + gbar[:n] + force,
-                    0.5 * (system.constraint_values(q1) + g0),
-                ]
-            )
+    def split(z):
+        x = P @ z
+        return x, E.T @ z, np.array([g.value(x) for g in constraints])
 
-        return residual
+    def gradient_from(z):
+        x0, lam0, g0 = split(z)
 
-    return _Scheme(build)
+        def gradient(zp):
+            x1, lam1, g1 = split(zp)
+            w = midpoint_gradient(H, x1, x0)
+            for lam_j, g in zip(0.5 * (lam1 + lam0), constraints):
+                w = w + lam_j * midpoint_gradient(g, x1, x0)
+            return P @ w + E @ (0.5 * (g1 + g0))
+
+        return gradient
+
+    return gradient_from
 
 
 def _bind(target, scheme: str) -> _Scheme:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; available: {', '.join(SCHEMES)}")
     if scheme == "implicit-euler":
         return _implicit_euler(target)
-    if scheme in ("dg-avf", "dg-midpoint", "dg-proper", "dg-index1"):
-        return _discrete_gradient(target, scheme)
-    if scheme == "gonzalez":
-        return _gonzalez(target)
-    raise ValueError(f"unknown scheme {scheme!r}; available: {', '.join(SCHEMES)}")
+    return _discrete_gradient(target, scheme)
 
 
 def _advance(bound: _Scheme, z, dt: float, cfg: NewtonConfig, guess=None) -> StepResult:
@@ -437,10 +436,7 @@ class Trajectory:
 
 
 def _constraint_norm(target, z: np.ndarray) -> float:
-    if isinstance(target, ConstrainedHamiltonian):
-        return float(np.linalg.norm(target.constraint_values(z[: target.n])))
-    res = model.implicit_constraint_residual(target, z)
-    return float(np.linalg.norm(res)) if res.size else 0.0
+    return float(np.linalg.norm(model.implicit_constraint_residual(target, z)))
 
 
 def integrate(
@@ -454,8 +450,8 @@ def integrate(
 ) -> Trajectory:
     """Advance ``target`` by ``steps`` steps of size ``dt``.
 
-    ``target`` is a :class:`GeneralDAE`, :class:`LinearGradientDAE` or
-    :class:`ConstrainedHamiltonian`, matched to the scheme.  Observers are
+    ``target`` is a :class:`GeneralDAE` or :class:`LinearGradientDAE`,
+    matched to the scheme.  Observers are
     named scalar fields whose values are recorded at every state.  The
     first Newton solve starts at ``z0``; each later one starts at the
     linear extrapolation ``2 z_m - z_{m-1}`` of the last two states, and

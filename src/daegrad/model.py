@@ -43,7 +43,6 @@ from .linalg import (
 __all__ = [
     "GeneralDAE",
     "LinearGradientDAE",
-    "ConstrainedHamiltonian",
     "implicit_constraint_residual",
     "ProperCheck",
     "check_proper",
@@ -91,6 +90,11 @@ class LinearGradientDAE:
     deliver ("conservative", "dissipative" or "none"); it is verified by
     :func:`verify_structure`, not enforced at construction.  ``A`` and
     ``subspaces`` are set up as for :class:`GeneralDAE`.
+
+    ``hamiltonian``, which the ``gonzalez`` scheme needs, declares ``V`` as
+    ``H(x) + lam^T g(x)``: the multipliers ``lam = E^T z`` are the state's
+    coordinates along the null basis ``E`` of ``A``, ``x = z - E lam``, and
+    the ``g_j`` are the ``constraints``.
     """
 
     A: np.ndarray
@@ -98,12 +102,15 @@ class LinearGradientDAE:
     V: ScalarField
     constraints: tuple[ScalarField, ...] = ()
     structure_claim: str = "none"
+    hamiltonian: ScalarField | None = None
     subspaces: SubspaceData | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
         if self.structure_claim not in _CLAIMS:
             raise ValueError(f"unknown structure claim {self.structure_claim!r}")
         GeneralDAE.__post_init__(self)
+        if self.hamiltonian is not None and self.hamiltonian.dim != self.dim:
+            raise ValueError(f"hamiltonian acts on dimension {self.hamiltonian.dim}, not {self.dim}")
 
     dim = GeneralDAE.dim
 
@@ -114,34 +121,6 @@ class LinearGradientDAE:
         return GeneralDAE(
             A=self.A, f=self.f, constraints=self.constraints, subspaces=self.subspaces
         )
-
-
-@dataclass(frozen=True)
-class ConstrainedHamiltonian:
-    """A canonical system with holonomic constraints, state ``(q, p, lam)``.
-
-    ``hamiltonian`` acts on the ``2n``-dimensional ``(q, p)`` block;
-    each entry of ``constraints`` acts on the ``n``-dimensional ``q``
-    block.  Used by the constraint-conserving one-step scheme.
-    """
-
-    n: int
-    hamiltonian: ScalarField
-    constraints: tuple[ScalarField, ...]
-
-    def __post_init__(self):
-        if self.hamiltonian.dim != 2 * self.n:
-            raise ValueError("hamiltonian must act on the (q, p) block")
-        for g in self.constraints:
-            if g.dim != self.n:
-                raise ValueError("each constraint must act on the q block")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n + len(self.constraints)
-
-    def constraint_values(self, q: np.ndarray) -> np.ndarray:
-        return np.array([g.value(q) for g in self.constraints])
 
 
 def implicit_constraint_residual(dae, z) -> np.ndarray:

@@ -1,0 +1,66 @@
+"""``tools/bench_pairs.py`` summaries on synthetic records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "ms_per_step", "better": "lower", "bound": 0.25},
+    {"name": "accepted_frac", "better": "higher", "bound": 0.01},
+]
+
+
+def _records(pairs):
+    """Untraced records of one workload from ``(parent, change)`` pairs of
+    ``(ms_per_step, accepted_frac)``."""
+    out = []
+    for k, sides in enumerate(pairs):
+        for side, (ms, acc) in zip(("parent", "change"), sides):
+            metrics = {"ms_per_step": {"value": ms}, "accepted_frac": {"value": acc}}
+            out.append({"side": side, "pair": k, "trace": 0,
+                        "record": {"correct": True, "metrics": metrics}})
+    return out
+
+
+def test_summary_reports_bound_and_worse_side_fraction():
+    pairs = [((1.0, 0.9), (1.2, 0.9)), ((1.0, 0.9), (1.1, 0.9)), ((1.0, 0.9), (0.9, 0.9))]
+    summary = bench_pairs.summarize(_records(pairs), END_TO_END)
+    ms = summary["ms_per_step"]
+    assert ms["bound"] == 0.25
+    assert ms["worse_frac"] == pytest.approx(0.1)  # median 1.1 against 1.0, lower is better
+    assert ms["change_better_pairs"] == 1
+    assert summary["accepted_frac"]["worse_frac"] == 0.0
+    assert summary["no_regression"] is True
+    assert summary["all_correct"] is True
+
+
+def test_summary_flags_a_metric_beyond_its_bound():
+    # accepted_frac falls by 2 %, past its 1 % bound; ms_per_step is better
+    pairs = [((1.0, 1.0), (0.8, 0.98))] * 3
+    summary = bench_pairs.summarize(_records(pairs), END_TO_END)
+    assert summary["ms_per_step"]["worse_frac"] == 0.0
+    assert summary["accepted_frac"]["worse_frac"] == pytest.approx(0.02)
+    assert summary["no_regression"] is False
+
+
+def test_worse_frac_sides_and_zero_parent():
+    assert bench_pairs.worse_frac(2.0, 2.5, "lower") == pytest.approx(0.25)
+    assert bench_pairs.worse_frac(2.0, 1.5, "higher") == pytest.approx(0.25)
+    assert bench_pairs.worse_frac(2.0, 1.5, "lower") == 0.0
+    assert bench_pairs.worse_frac(0.0, 0.0, "lower") == 0.0
+    assert bench_pairs.worse_frac(0.0, 1.0, "lower") is None
+
+
+def test_summary_without_complete_pairs_claims_nothing():
+    records = _records([((1.0, 1.0), (1.0, 1.0))])
+    records[1]["record"] = {"correct": False, "error": "timed out"}
+    summary = bench_pairs.summarize(records, END_TO_END)
+    assert "ms_per_step" not in summary
+    assert summary["no_regression"] is False
+    assert summary["all_correct"] is False

@@ -65,6 +65,11 @@ def test_run_scheme_defaults_to_recommendation(tmp_path, capsys):
     assert "pendulum/gonzalez" in capsys.readouterr().err
 
 
+def test_friction_run_defaults_to_gonzalez(capsys):
+    assert run_cli("run", "--problem", "friction", "--steps", "5") == 0
+    assert "friction/gonzalez" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -109,6 +114,7 @@ def test_index3_problems_refuse_unconstrained_schemes(problem, scheme, tmp_path,
         ("pendulum", "gonzalez"),
         ("pendulum", "dg-midpoint"),
         ("pendulum", "implicit-euler"),
+        ("friction", "gonzalez"),
         ("friction", "dg-midpoint"),
         ("friction", "implicit-euler"),
     ],

@@ -18,7 +18,6 @@ from daegrad.errors import (
 )
 from daegrad.gradients import ScalarField, linear_field, quadratic_field
 from daegrad.model import (
-    ConstrainedHamiltonian,
     GeneralDAE,
     LinearGradientDAE,
     build_conservative_S,
@@ -70,16 +69,14 @@ def test_structure_claim_validated():
         LinearGradientDAE(np.eye(2), lambda z: np.eye(2), V, structure_claim="magic")
 
 
-def test_constrained_hamiltonian_validates_dimensions():
-    H = quadratic_field(np.eye(4))
-    g = ScalarField(dim=2, value=lambda q: 0.0, gradient=lambda q: np.zeros(2))
-    system = ConstrainedHamiltonian(n=2, hamiltonian=H, constraints=(g,))
-    assert system.dim == 5
-    with pytest.raises(ValueError):
-        ConstrainedHamiltonian(n=3, hamiltonian=H, constraints=(g,))
-    bad_g = ScalarField(dim=3, value=lambda q: 0.0, gradient=lambda q: np.zeros(3))
-    with pytest.raises(ValueError):
-        ConstrainedHamiltonian(n=2, hamiltonian=H, constraints=(bad_g,))
+def test_linear_gradient_dae_validates_hamiltonian_dimension():
+    V = quadratic_field(np.eye(3))
+    H = quadratic_field(np.eye(3), name="H")
+    dae = LinearGradientDAE(np.diag([1.0, 1.0, 0.0]), lambda z: np.eye(3), V, hamiltonian=H)
+    assert dae.hamiltonian is H
+    assert LinearGradientDAE(np.eye(3), lambda z: np.eye(3), V).hamiltonian is None
+    with pytest.raises(ValueError, match="hamiltonian"):
+        LinearGradientDAE(np.eye(3), lambda z: np.eye(3), V, hamiltonian=quadratic_field(np.eye(2)))
 
 
 # ------------------------------------------------- implicit constraint

@@ -75,8 +75,7 @@ def test_declared_schemes_match_their_targets(name):
     assert len(set(spec.schemes)) == len(spec.schemes)
     assert ("gonzalez" in spec.schemes) == (spec.gonzalez is not None)
     for scheme in spec.schemes:
-        target = spec.gonzalez if scheme == "gonzalez" else spec.dae
-        assert len(integrate(target, scheme, spec.default_initial_state, 0.1, 1)) == 2
+        assert len(integrate(spec.dae, scheme, spec.default_initial_state, 0.1, 1)) == 2
 
 
 # ------------------------------------------------------------------ cyclic
@@ -140,12 +139,12 @@ def test_pendulum_sampler_satisfies_hidden_constraints():
 
 
 def test_pendulum_carries_constrained_canonical_form():
+    # the gonzalez target is the problem's own system, which declares H as
+    # the Hamiltonian of its augmented energy V = H + lam g
     spec = make_problem("pendulum")
-    assert spec.gonzalez is not None
-    assert spec.gonzalez.n == 2
-    assert spec.gonzalez.dim == spec.dae.dim
-    q = np.array([0.6, -0.8])
-    assert spec.gonzalez.constraint_values(q) == pytest.approx([0.0], abs=1e-12)
+    assert spec.gonzalez is spec.dae
+    (H,) = [o for o in spec.observers if o.name == "H"]
+    assert spec.dae.hamiltonian is H
 
 
 def test_pendulum_is_frictionless_friction():

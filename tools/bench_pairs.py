@@ -16,10 +16,13 @@ the benchmark code of its own checkout.
 The output holds ``what``, ``method`` and ``host``; a ``summary`` per
 workload with, for every end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the ratio of the medians (change over
-parent) and the number of pairs the change won (ties count for neither);
-the traced records per workload and, in ``traced_counts``, every per-layer
-metric of unit ``count`` from them as parent, change and ratio; and
-``records``, the last stdout line of every run.  A run that outlasts
+parent), the number of pairs the change won (ties count for neither), the
+metric's ``bound`` and ``worse_frac``, how far the change's median lies on
+the worse side of the parent's as a fraction of it (0 when not worse), and
+per workload ``no_regression``, whether every ``worse_frac`` is within its
+bound; the traced records per workload and, in ``traced_counts``, every
+per-layer metric of unit ``count`` from them as parent, change and ratio;
+and ``records``, the last stdout line of every run.  A run that outlasts
 ``RUN_TIMEOUT_FLOOR_S + RUN_TIMEOUT_FACTOR * --seconds`` is stopped and
 recorded as ``"correct": false`` with the error ``"timed out"``.  The
 script exits with status 1 if a run failed or reported ``"correct":
@@ -80,15 +83,29 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def summarize(records: list[dict], metrics: dict[str, str]) -> dict:
-    """Per-metric medians, quartiles, ratio and pairs won, over the untraced
-    records of one workload; ``better`` maps each metric to lower or higher."""
+def worse_frac(parent: float, change: float, better: str) -> float | None:
+    """How far ``change`` lies on the worse side of ``parent``, as a fraction
+    of ``|parent|``: 0 when it is not worse, None when ``parent`` is 0 and
+    ``change`` is worse."""
+    worse = change - parent if better == "lower" else parent - change
+    if worse <= 0:
+        return 0.0
+    return worse / abs(parent) if parent else None
+
+
+def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
+    """Per-metric medians, quartiles, ratio, pairs won, bound and
+    ``worse_frac``, over the untraced records of one workload; ``end_to_end``
+    is the list of the same name in ``BENCHMARK.json``.  ``no_regression``
+    says whether every metric has a ``worse_frac`` within its ``bound``
+    (false when no pair is complete)."""
     by_pair = {}
     for r in records:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["record"]
     complete = [p for p in by_pair.values() if all("metrics" in p.get(s, {}) for s in SIDES)]
     out = {}
-    for name, better in metrics.items() if complete else ():
+    for metric in end_to_end if complete else ():
+        name, better = metric["name"], metric["better"]
         values = {s: [p[s]["metrics"][name]["value"] for p in complete] for s in SIDES}
         sign = -1.0 if better == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
@@ -102,7 +119,12 @@ def summarize(records: list[dict], metrics: dict[str, str]) -> dict:
             "ratio": change_median / parent_median if parent_median else None,
             "change_better_pairs": wins,
             "pairs": len(complete),
+            "bound": metric["bound"],
+            "worse_frac": worse_frac(parent_median, change_median, better),
         }
+    out["no_regression"] = bool(complete) and all(
+        m["worse_frac"] is not None and m["worse_frac"] <= m["bound"] for m in out.values()
+    )
     out["all_correct"] = all(r["record"].get("correct") is True for r in records)
     return out
 
@@ -145,7 +167,6 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {path} has no benchmarks/run.py")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
     records = []
 
@@ -185,7 +206,8 @@ def main(argv=None) -> int:
         "host": f"{os.cpu_count()}-core {platform.system()} {platform.machine()}, "
                 f"Python {platform.python_version()}, one BLAS thread",
         "summary": {
-            w: summarize([r for r in records if r["workload"] == w and r["trace"] == 0], metrics)
+            w: summarize([r for r in records if r["workload"] == w and r["trace"] == 0],
+                         spec["end_to_end"])
             for w in args.workload
         },
         "traced": traced_records,
