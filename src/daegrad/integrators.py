@@ -12,8 +12,8 @@ on a forward-difference Jacobian.  The schemes, by name:
   augmented with a redundant null-space force ``B c`` and the explicit
   constraint block ``B^T S(z1) grad V(z1) = 0``, which lands every step
   on the constraint manifold while conserving ``V``.
-* ``gonzalez`` - the same scheme with Gonzalez's gradient of the augmented
-  energy ``V = H + lam^T g`` of a system that declares its ``hamiltonian``;
+* ``gonzalez`` - the plain discrete-gradient step with Gonzalez's gradient
+  of ``V = H + lam^T g`` for a system that declares its ``hamiltonian``;
   it enforces ``g(x1) + g(x0) = 0`` and fixes only the multipliers' average.
 
 ``step`` takes one step of any of them, starting Newton at the current
