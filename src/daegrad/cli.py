@@ -28,6 +28,7 @@ digits so that re-runs are byte-identical; lines end with LF.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -55,12 +56,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(kind):
-    """An argparse ``type`` that parses with ``kind`` and requires ``> 0``."""
+    """An argparse ``type`` that parses with ``kind`` and requires a finite ``> 0``."""
 
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"

@@ -59,7 +59,7 @@ __all__ = [
     "chain_rule_residual",
 ]
 
-_HINTS = ("quadratic", "general")
+_HINTS = ("quadratic", "separable", "general")
 
 #: points whose distance is below this (scaled) threshold are treated as equal
 COINCIDENCE_RTOL = 1e-14
@@ -75,7 +75,14 @@ class ScalarField:
 
     ``hint`` declares what the discrete-gradient machinery may exploit:
     ``"quadratic"`` means the gradient is affine (so the interior-division
-    coefficient is exactly one half), and ``"general"`` promises nothing.
+    coefficient is exactly one half); ``"separable"`` means
+    ``V(z) = sum_i v_i(z_i)`` with a gradient that also maps a ``(k, dim)``
+    stack of points row by row to an array of that shape, so that
+    :func:`avf_gradient` evaluates all its quadrature nodes in one call;
+    and ``"general"`` promises nothing.  ``cosh_sum_field`` and
+    ``convex_quartic_field`` are separable.  Any other field keeps one
+    gradient call per node, because its gradient need not accept a stack
+    of points: ``X @ z`` of a quadratic field does not map rows.
 
     ``divergence(z, z0)`` optionally evaluates both one-sided divergences
 
@@ -180,7 +187,7 @@ def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
         dim=dim,
         value=lambda u: float(np.sum(np.cosh(u))),
         gradient=lambda u: np.sinh(u),
-        hint="general",
+        hint="separable",
         divergence=divergence,
         name=name,
     )
@@ -210,7 +217,7 @@ def convex_quartic_field(curvature, name: str = "") -> ScalarField:
         dim=c.shape[0],
         value=lambda z: float(np.sum(0.25 * z**4 + 0.5 * c * z**2)),
         gradient=lambda z: z**3 + c * z,
-        hint="general",
+        hint="separable",
         divergence=divergence,
         name=name,
     )
@@ -266,20 +273,32 @@ def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
 
     7-node Gauss-Legendre quadrature: it integrates a gradient of degree up
     to 13 exactly, so it is exact for polynomial ``V`` of degree up to 14.
-    The seven nodes are one ``(7, dim)`` array; each gradient is copied into
-    its row as soon as it returns, so a gradient may return a list, a scalar
-    when ``dim`` is 1, or one buffer that it reuses between calls.  The
-    midpoint and proper gradients accept such a gradient too, and at
-    coincident points all three return a copy of ``grad V(z)``.
+    The seven nodes are one ``(7, dim)`` array.  A field hinted
+    ``"separable"`` gets that whole array in one gradient call, which must
+    return an array of the same shape, or ``ValueError`` is raised.  Every
+    other field gets one call per node, each result copied into its row as
+    soon as it returns: such a gradient may return a list, a scalar when
+    ``dim`` is 1, or one buffer that it reuses between calls, and need not
+    broadcast over rows (``X @ z`` does not).  The midpoint and proper
+    gradients accept such a gradient too, and at coincident points all
+    three return a copy of ``grad V(z)``.
     """
     z, zp = _as_pair(V, z, zp)
-    if np.array_equal(z, zp):
+    if (z == zp).all():
         return _gradient(V, z).copy()
     nodes, weights = _avf_rule()
     points = zp + nodes[:, None] * (z - zp)
-    grads = np.empty_like(points)
-    for i, point in enumerate(points):
-        grads[i] = V.gradient(point)
+    if V.hint == "separable":
+        grads = np.asarray(V.gradient(points), dtype=float)
+        if grads.shape != points.shape:
+            raise ValueError(
+                f"field {V.name or '<unnamed>'} is hinted 'separable', but its gradient "
+                f"mapped points of shape {points.shape} to shape {grads.shape}"
+            )
+    else:
+        grads = np.empty_like(points)
+        for i, point in enumerate(points):
+            grads[i] = V.gradient(point)
     return weights @ grads
 
 

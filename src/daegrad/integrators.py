@@ -30,6 +30,7 @@ starting at ``z_m``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Sequence
@@ -311,6 +312,17 @@ def _bind(target, scheme: str) -> _Scheme:
     return _discrete_gradient(target, scheme)
 
 
+def _checked_start(z, dt: float) -> np.ndarray:
+    """``z`` as a float array; ``ValueError`` unless ``dt`` is finite and
+    positive and every component of ``z`` is finite."""
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("the start state must be finite")
+    return z
+
+
 def _advance(bound: _Scheme, z, dt: float, cfg: NewtonConfig, guess=None) -> StepResult:
     """One step from ``z``; Newton starts at ``guess`` when given, and
     again at ``z`` if that solve fails."""
@@ -352,13 +364,15 @@ def step(target, scheme: str, z, dt: float, cfg: NewtonConfig = NewtonConfig()) 
     """Advance ``target`` by one step of ``scheme`` (one of :data:`SCHEMES`).
 
     ``target`` is matched to the scheme as in :func:`integrate`; a
-    mismatch or an unknown name raises ``ValueError``.  The Newton guess
-    is ``z`` (with zero redundant force).  A plain discrete-gradient step
+    mismatch or an unknown name raises ``ValueError``, and so do a ``dt``
+    that is not finite and positive and a non-finite ``z``.  The Newton
+    guess is ``z`` (with zero redundant force).  A plain discrete-gradient step
     on a system with singular ``A`` whose Newton Jacobian comes out
     singular raises :class:`UnderdeterminedSystem`.  A midpoint fallback
     inside the final gradient evaluation is reported via the result flag
     and a :class:`FallbackCompromisedConservation` warning.
     """
+    z = _checked_start(z, dt)
     return _advance(_bind(target, scheme), z, dt, cfg)
 
 
@@ -461,9 +475,10 @@ def integrate(
     null-space components there); on index-3 systems such as the pendulum
     it always starts at ``z_m``.
     The redundant force of the index-1 scheme always starts at zero.  The
-    index-1 scheme first projects ``z0`` onto the constraint manifold, and
-    a non-finite ``z0`` raises ``ValueError``.  ``newton_iters`` counts
-    the iterations of the solve that was accepted.
+    index-1 scheme first projects ``z0`` onto the constraint manifold.  A
+    non-finite ``z0``, or a ``dt`` that is not finite and positive, raises
+    ``ValueError``.  ``newton_iters`` counts the iterations of the solve
+    that was accepted.
     Returns ``steps + 1`` records; a solver or linear-algebra error in a
     step raises :class:`StepFailure` carrying the partial trajectory, and
     one in the projection raises it for step 0 with the unprojected
@@ -471,12 +486,8 @@ def integrate(
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    z = _checked_start(z0, dt).copy()
     bound = _bind(target, scheme)
-    z = np.asarray(z0, dtype=float).copy()
-    if not np.all(np.isfinite(z)):
-        raise ValueError("z0 must be finite")
 
     def observe(state):
         return {obs.name or f"observer{i}": float(obs.value(state)) for i, obs in enumerate(observers)}

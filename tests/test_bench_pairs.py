@@ -64,3 +64,37 @@ def test_summary_without_complete_pairs_claims_nothing():
     assert "ms_per_step" not in summary
     assert summary["no_regression"] is False
     assert summary["all_correct"] is False
+
+
+def _gain(pairs):
+    """``meets_gain_rule`` of ``ms_per_step`` for ``(parent, change)`` pairs."""
+    records = _records([((p, 1.0), (c, 1.0)) for p, c in pairs])
+    return bench_pairs.summarize(records, END_TO_END)["ms_per_step"]["meets_gain_rule"]
+
+
+def test_gain_rule_holds_for_nine_of_ten_wins_with_a_wide_gap():
+    pairs = [(5.0 + 0.01 * k, 3.6 + 0.01 * k) for k in range(9)] + [(5.0, 5.5)]
+    assert _gain(pairs) is True
+
+
+def test_gain_rule_fails_for_eight_of_ten_wins():
+    pairs = [(5.0 + 0.01 * k, 3.6 + 0.01 * k) for k in range(8)] + [(5.0, 5.5), (5.0, 5.0)]
+    assert _gain(pairs) is False  # the tie counts for neither side
+
+
+def test_gain_rule_fails_for_a_gap_inside_the_parents_quartiles():
+    # every pair is won, but by 0.05 against a parent spread of about 0.5
+    pairs = [(5.0 + 0.1 * k, 4.95 + 0.1 * k) for k in range(10)]
+    assert _gain(pairs) is False
+
+
+def test_gain_rule_fails_on_fewer_than_ten_pairs():
+    pairs = [(5.0 + 0.01 * k, 3.6 + 0.01 * k) for k in range(9)]
+    assert _gain(pairs) is False
+
+
+def test_gain_rule_never_holds_for_unchanged_metrics():
+    pairs = [(5.0 + 0.01 * k, 3.6 + 0.01 * k) for k in range(10)]
+    summary = bench_pairs.summarize(_records([((p, 1.0), (c, 1.0)) for p, c in pairs]), END_TO_END)
+    assert summary["ms_per_step"]["meets_gain_rule"] is True
+    assert summary["accepted_frac"]["meets_gain_rule"] is False  # ties everywhere

@@ -87,6 +87,7 @@ def test_friction_run_defaults_to_gonzalez(capsys):
         ("run", "--problem", "smhs", "--newton-tol", "0"),
         (),  # no subcommand
         ("run", "--problem", "sinh-gordon", "--scheme", "dg-midpoint"),  # not accepted
+        ("run", "--problem", "smhs", "--dt", "inf"),
     ],
 )
 def test_bad_invocations_exit_one(argv, capsys, tmp_path):

@@ -11,6 +11,7 @@ Frozen oracles used here, all derivable by hand:
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_divergence_pair_is_symmetric_and_sums_to_curvature_property(points):
         assert sum(forward) == pytest.approx(curvature, rel=1e-12), V
 
 
-@pytest.mark.parametrize("hint", ["quadratic", "general"])
+@pytest.mark.parametrize("hint", ["quadratic", "separable", "general"])
 def test_scalar_field_accepts_known_hints(hint):
     assert ScalarField(1, lambda u: 0.0, lambda u: 0.0, hint=hint).hint == hint
 
@@ -325,6 +326,35 @@ def test_avf_accepts_a_gradient_that_reuses_one_buffer():
     shared = ScalarField(3, V.value, gradient)
     z, zp = np.array([0.4, -1.0, 2.0]), np.array([1.5, 0.2, -0.7])
     assert np.array_equal(avf_gradient(shared, z, zp), avf_gradient(V, z, zp))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+@pytest.mark.parametrize(
+    "build",
+    [cosh_sum_field, lambda dim: convex_quartic_field(np.linspace(0.0, 2.0, dim))],
+    ids=["cosh", "quartic"],
+)
+def test_avf_evaluates_a_separable_field_in_one_gradient_call(build, dim):
+    V = build(dim)
+    assert V.hint == "separable"
+    shapes = []
+
+    def gradient(u):
+        shapes.append(np.shape(u))
+        return V.gradient(u)
+
+    rng = np.random.default_rng(dim)
+    z, zp = rng.normal(size=dim), rng.normal(size=dim)
+    got = avf_gradient(replace(V, gradient=gradient), z, zp)
+    assert shapes == [(7, dim)]
+    # the row loop is the reference, and the arithmetic is the same
+    assert np.array_equal(got, avf_gradient(replace(V, hint="general"), z, zp))
+
+
+def test_avf_rejects_a_separable_hint_whose_gradient_does_not_map_rows():
+    flat = ScalarField(3, lambda u: 0.0, lambda u: np.ones(3), hint="separable", name="flat")
+    with pytest.raises(ValueError, match="flat.*'separable'"):
+        avf_gradient(flat, np.zeros(3), np.ones(3))
 
 
 def test_proper_accepts_a_gradient_that_reuses_one_buffer():

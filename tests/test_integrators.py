@@ -238,6 +238,19 @@ def test_sinh_gordon_run_is_unchanged_by_the_paired_divergence(scheme):
     assert [r.newton_residual for r in runs[0].records] == [r.newton_residual for r in runs[1].records]
 
 
+def test_sinh_gordon_avf_run_is_unchanged_by_the_separable_hint():
+    # the row-loop quadrature is the reference: the one-call path must give
+    # the same trajectory and Newton counts bit for bit
+    spec = make_problem("sinh-gordon", grid=16)
+    assert spec.dae.V.hint == "separable"
+    reference = replace(spec.dae, V=replace(spec.dae.V, hint="general"))
+    runs = [integrate(dae, "dg-avf", spec.default_initial_state, 0.1, 20, observers=spec.observers)
+            for dae in (spec.dae, reference)]
+    assert np.array_equal(runs[0].states(), runs[1].states())
+    assert [r.newton_iters for r in runs[0].records] == [r.newton_iters for r in runs[1].records]
+    assert [r.newton_residual for r in runs[0].records] == [r.newton_residual for r in runs[1].records]
+
+
 def test_dg_midpoint_dissipates_friction_energy():
     spec = make_friction()
     traj = integrate(
@@ -630,6 +643,28 @@ def test_integrate_rejects_non_finite_initial_state(bad, monkeypatch):
         with pytest.raises(ValueError, match="finite"):
             integrate(spec.dae, scheme, z0, 0.1, 5)
     assert solves == []  # refused before the projection or any step
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("advance", [step, lambda *args: integrate(*args, 5)], ids=["step", "integrate"])
+def test_step_and_integrate_reject_a_dt_that_is_not_finite_and_positive(advance, dt, monkeypatch):
+    spec = make_problem("sinh-gordon", grid=8)
+    solves = []
+    monkeypatch.setattr(integrators, "newton_solve", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        advance(spec.dae, "dg-avf", spec.default_initial_state, dt)
+    assert solves == []
+
+
+def test_step_rejects_a_non_finite_state(monkeypatch):
+    spec = make_problem("sinh-gordon", grid=8)
+    solves = []
+    monkeypatch.setattr(integrators, "newton_solve", lambda *a, **k: solves.append(a))
+    z = spec.default_initial_state.copy()
+    z[3] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        step(spec.dae, "dg-avf", z, 0.1)
+    assert solves == []
 
 
 def test_integrate_validates_arguments():

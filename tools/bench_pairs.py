@@ -18,9 +18,13 @@ workload with, for every end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the ratio of the medians (change over
 parent), the number of pairs the change won (ties count for neither), the
 metric's ``bound`` and ``worse_frac``, how far the change's median lies on
-the worse side of the parent's as a fraction of it (0 when not worse), and
-per workload ``no_regression``, whether every ``worse_frac`` is within its
-bound; the traced records per workload and, in ``traced_counts``, every
+the worse side of the parent's as a fraction of it (0 when not worse),
+``meets_gain_rule``, whether the metric shows a gain that may be claimed
+(at least ``GAIN_MIN_PAIRS`` complete pairs, the change better in at least
+nine tenths of all pairs run, and its median better than the parent's by
+more than the distance between the parent's quartiles), and per workload
+``no_regression``, whether every ``worse_frac`` is within its bound; the
+traced records per workload and, in ``traced_counts``, every
 per-layer metric of unit ``count`` from them as parent, change and ratio;
 and ``records``, the last stdout line of every run.  A run that outlasts
 ``RUN_TIMEOUT_FLOOR_S + RUN_TIMEOUT_FACTOR * --seconds`` is stopped and
@@ -46,6 +50,8 @@ SIDES = ("parent", "change")
 # repeat; these bound it generously, so that only a hung run reaches them.
 RUN_TIMEOUT_FLOOR_S = 300.0
 RUN_TIMEOUT_FACTOR = 10.0
+# a gain is claimed on no fewer pairs than this
+GAIN_MIN_PAIRS = 10
 
 
 def label(checkout: Path) -> str:
@@ -94,11 +100,11 @@ def worse_frac(parent: float, change: float, better: str) -> float | None:
 
 
 def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
-    """Per-metric medians, quartiles, ratio, pairs won, bound and
-    ``worse_frac``, over the untraced records of one workload; ``end_to_end``
-    is the list of the same name in ``BENCHMARK.json``.  ``no_regression``
-    says whether every metric has a ``worse_frac`` within its ``bound``
-    (false when no pair is complete)."""
+    """Per-metric medians, quartiles, ratio, pairs won, bound, ``worse_frac``
+    and ``meets_gain_rule``, over the untraced records of one workload;
+    ``end_to_end`` is the list of the same name in ``BENCHMARK.json``.
+    ``no_regression`` says whether every metric has a ``worse_frac`` within
+    its ``bound`` (false when no pair is complete)."""
     by_pair = {}
     for r in records:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["record"]
@@ -111,9 +117,10 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         parent_median = statistics.median(values["parent"])
         change_median = statistics.median(values["change"])
+        low, high = quartiles(values["parent"])
         out[name] = {
             "parent_median": parent_median,
-            "parent_quartiles": quartiles(values["parent"]),
+            "parent_quartiles": [low, high],
             "change_median": change_median,
             "change_quartiles": quartiles(values["change"]),
             "ratio": change_median / parent_median if parent_median else None,
@@ -121,6 +128,9 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
             "pairs": len(complete),
             "bound": metric["bound"],
             "worse_frac": worse_frac(parent_median, change_median, better),
+            "meets_gain_rule": len(complete) >= GAIN_MIN_PAIRS
+            and 10 * wins >= 9 * len(by_pair)
+            and sign * (change_median - parent_median) > high - low,
         }
     out["no_regression"] = bool(complete) and all(
         m["worse_frac"] is not None and m["worse_frac"] <= m["bound"] for m in out.values()
