@@ -194,7 +194,10 @@ def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
 
 
 def convex_quartic_field(curvature, name: str = "") -> ScalarField:
-    """``V(z) = sum_i (z_i^4 / 4 + c_i z_i^2 / 2)`` with ``c_i >= 0``.
+    """``V(z) = sum_i (z_i^4 / 4 + c_i z_i^2 / 2)`` with finite ``c_i >= 0``.
+
+    ``curvature`` is the 1-D array of the ``c_i``; any other shape, or a
+    negative or non-finite entry, raises ``ValueError``.
 
     Strictly convex; with ``h = z - z0`` the divergences have the closed
     component forms ``h^2 ((6 a^2 + 4 a h + h^2) / 4 + c / 2)`` for ``D(z, z0)``
@@ -202,6 +205,10 @@ def convex_quartic_field(curvature, name: str = "") -> ScalarField:
     (``b = z``), which are cancellation-free.
     """
     c = np.asarray(curvature, dtype=float)
+    if c.ndim != 1:
+        raise ValueError(f"curvature must be one coefficient per component, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("curvature coefficients must be finite")
     if np.any(c < 0):
         raise ValueError("curvature coefficients must be nonnegative")
 
@@ -257,7 +264,12 @@ def _as_pair(V: ScalarField, z, zp) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gradient(V: ScalarField, z) -> np.ndarray:
-    """``grad V(z)`` as a float vector of shape ``(V.dim,)``; the AVF rows get it by copying."""
+    """``grad V(z)`` at one point as a float vector of shape ``(V.dim,)``.
+
+    Every single-point read of a gradient in the library goes through here,
+    so a gradient may return an array, a list, or for ``dim`` 1 a float; a
+    result of any other size raises ``ValueError``.
+    """
     return np.asarray(V.gradient(z), dtype=float).reshape(V.dim)
 
 
@@ -276,12 +288,14 @@ def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
     The seven nodes are one ``(7, dim)`` array.  A field hinted
     ``"separable"`` gets that whole array in one gradient call, which must
     return an array of the same shape, or ``ValueError`` is raised.  Every
-    other field gets one call per node, each result copied into its row as
-    soon as it returns: such a gradient may return a list, a scalar when
-    ``dim`` is 1, or one buffer that it reuses between calls, and need not
-    broadcast over rows (``X @ z`` does not).  The midpoint and proper
-    gradients accept such a gradient too, and at coincident points all
-    three return a copy of ``grad V(z)``.
+    other field gets one call per node, read as :func:`_gradient` reads it
+    and copied into its row as soon as it returns: such a gradient may
+    return a list, a float when ``dim`` is 1, or one buffer that it reuses
+    between calls, and need not broadcast over rows (``X @ z`` does not).
+    A result of any other size, such as a scalar for ``dim`` above 1,
+    raises ``ValueError``, as it does in the midpoint and proper
+    gradients.  At coincident points all three return a copy of
+    ``grad V(z)``.
     """
     z, zp = _as_pair(V, z, zp)
     if (z == zp).all():
@@ -298,7 +312,7 @@ def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
     else:
         grads = np.empty_like(points)
         for i, point in enumerate(points):
-            grads[i] = V.gradient(point)
+            grads[i] = _gradient(V, point)
     return weights @ grads
 
 

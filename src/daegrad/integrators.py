@@ -31,6 +31,7 @@ starting at ``z_m``.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Sequence
@@ -49,6 +50,7 @@ from .errors import (
 from .gradients import (
     DiscreteGradientKind,
     ScalarField,
+    _gradient,
     discrete_gradient_info,
     midpoint_gradient,
 )
@@ -83,16 +85,18 @@ _STEP_TOL = 1e-14
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Stopping rules for the Newton iteration."""
+    """Stopping rules for the Newton iteration: a finite, positive
+    ``residual_tol`` and an integral ``max_iters`` of at least 1, or
+    ``ValueError``."""
 
     residual_tol: float = 1e-12
     max_iters: int = 50
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not (self.residual_tol > 0 and math.isfinite(self.residual_tol)):
+            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
 
 
 class NewtonResult(NamedTuple):
@@ -254,7 +258,7 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             dyn = A @ (zp - z) / dt - Sg
             if not index1:
                 return dyn
-            constraint = B.T @ (S1 @ np.asarray(V.gradient(zp), dtype=float))
+            constraint = B.T @ (S1 @ _gradient(V, zp))
             return np.concatenate([dyn - B @ w[d:], constraint])
 
         return residual
@@ -312,12 +316,14 @@ def _bind(target, scheme: str) -> _Scheme:
     return _discrete_gradient(target, scheme)
 
 
-def _checked_start(z, dt: float) -> np.ndarray:
+def _checked_start(z, dt: float, dim: int) -> np.ndarray:
     """``z`` as a float array; ``ValueError`` unless ``dt`` is finite and
-    positive and every component of ``z`` is finite."""
+    positive and ``z`` is a finite vector of shape ``(dim,)``."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     z = np.asarray(z, dtype=float)
+    if z.shape != (dim,):
+        raise ValueError(f"the start state must have shape ({dim},), got {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("the start state must be finite")
     return z
@@ -365,15 +371,16 @@ def step(target, scheme: str, z, dt: float, cfg: NewtonConfig = NewtonConfig()) 
 
     ``target`` is matched to the scheme as in :func:`integrate`; a
     mismatch or an unknown name raises ``ValueError``, and so do a ``dt``
-    that is not finite and positive and a non-finite ``z``.  The Newton
-    guess is ``z`` (with zero redundant force).  A plain discrete-gradient step
-    on a system with singular ``A`` whose Newton Jacobian comes out
-    singular raises :class:`UnderdeterminedSystem`.  A midpoint fallback
+    that is not finite and positive and a ``z`` that is not a finite vector
+    of the system's dimension.  The Newton guess is ``z`` (with zero
+    redundant force).  A plain discrete-gradient step on a system with
+    singular ``A`` whose Newton Jacobian comes out singular raises
+    :class:`UnderdeterminedSystem`.  A midpoint fallback
     inside the final gradient evaluation is reported via the result flag
     and a :class:`FallbackCompromisedConservation` warning.
     """
-    z = _checked_start(z, dt)
-    return _advance(_bind(target, scheme), z, dt, cfg)
+    bound = _bind(target, scheme)
+    return _advance(bound, _checked_start(z, dt, target.dim), dt, cfg)
 
 
 def project_to_constraint(dae, z0, cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
@@ -476,9 +483,9 @@ def integrate(
     it always starts at ``z_m``.
     The redundant force of the index-1 scheme always starts at zero.  The
     index-1 scheme first projects ``z0`` onto the constraint manifold.  A
-    non-finite ``z0``, or a ``dt`` that is not finite and positive, raises
-    ``ValueError``.  ``newton_iters`` counts the iterations of the solve
-    that was accepted.
+    ``z0`` that is not a finite vector of the system's dimension, or a
+    ``dt`` that is not finite and positive, raises ``ValueError``.
+    ``newton_iters`` counts the iterations of the solve that was accepted.
     Returns ``steps + 1`` records; a solver or linear-algebra error in a
     step raises :class:`StepFailure` carrying the partial trajectory, and
     one in the projection raises it for step 0 with the unprojected
@@ -486,8 +493,8 @@ def integrate(
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    z = _checked_start(z0, dt).copy()
     bound = _bind(target, scheme)
+    z = _checked_start(z0, dt, target.dim).copy()
 
     def observe(state):
         return {obs.name or f"observer{i}": float(obs.value(state)) for i, obs in enumerate(observers)}

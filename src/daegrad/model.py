@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import RankDeficientConstraints, VanishingDissipation, VanishingGradient
-from .gradients import ScalarField
+from .gradients import ScalarField, _gradient
 from .linalg import (
     SubspaceData,
     is_negative_semidefinite,
@@ -56,26 +56,34 @@ __all__ = [
 _CLAIMS = ("conservative", "dissipative", "none")
 
 
+def _check_dim(role: str, field: ScalarField, dim: int) -> None:
+    if field.dim != dim:
+        raise ValueError(f"{role} acts on dimension {field.dim}, not {dim}")
+
+
 @dataclass(frozen=True)
 class GeneralDAE:
     """``A z' = f(z)`` with a constant square mass matrix.
 
     ``constraints`` optionally lists scalar functions whose joint zero set
     is the configuration manifold; they are used by properization and by
-    diagnostics, not by the solvers themselves.  ``subspaces`` is derived
-    from ``A`` on construction unless supplied.
+    diagnostics, not by the solvers themselves.  ``subspaces`` is not an
+    argument: every construction, ``dataclasses.replace`` included, derives
+    it from ``A``.  A constraint whose ``dim`` differs from the state's
+    raises ``ValueError``.
     """
 
     A: np.ndarray
     f: Callable[[np.ndarray], np.ndarray]
     constraints: tuple[ScalarField, ...] = ()
-    subspaces: SubspaceData | None = dc_field(default=None, repr=False)
+    subspaces: SubspaceData = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         object.__setattr__(self, "A", A)
-        if self.subspaces is None:
-            object.__setattr__(self, "subspaces", pseudo_inverse(A))
+        object.__setattr__(self, "subspaces", pseudo_inverse(A))
+        for g in self.constraints:
+            _check_dim("constraint", g, self.dim)
 
     @property
     def dim(self) -> int:
@@ -88,8 +96,9 @@ class LinearGradientDAE:
 
     ``structure_claim`` records what the factorization is supposed to
     deliver ("conservative", "dissipative" or "none"); it is verified by
-    :func:`verify_structure`, not enforced at construction.  ``A`` and
-    ``subspaces`` are set up as for :class:`GeneralDAE`.
+    :func:`verify_structure`, not enforced at construction.  ``A``,
+    ``subspaces`` and the constraints are set up and checked as for
+    :class:`GeneralDAE`, and ``V`` must act on the state's dimension too.
 
     ``hamiltonian``, which the ``gonzalez`` scheme needs, declares ``V`` as
     ``H(x) + lam^T g(x)``: the multipliers ``lam = E^T z`` are the state's
@@ -103,24 +112,23 @@ class LinearGradientDAE:
     constraints: tuple[ScalarField, ...] = ()
     structure_claim: str = "none"
     hamiltonian: ScalarField | None = None
-    subspaces: SubspaceData | None = dc_field(default=None, repr=False)
+    subspaces: SubspaceData = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.structure_claim not in _CLAIMS:
             raise ValueError(f"unknown structure claim {self.structure_claim!r}")
         GeneralDAE.__post_init__(self)
-        if self.hamiltonian is not None and self.hamiltonian.dim != self.dim:
-            raise ValueError(f"hamiltonian acts on dimension {self.hamiltonian.dim}, not {self.dim}")
+        _check_dim("V", self.V, self.dim)
+        if self.hamiltonian is not None:
+            _check_dim("hamiltonian", self.hamiltonian, self.dim)
 
     dim = GeneralDAE.dim
 
     def f(self, z: np.ndarray) -> np.ndarray:
-        return self.S(z) @ np.asarray(self.V.gradient(z), dtype=float)
+        return self.S(z) @ _gradient(self.V, z)
 
     def as_general(self) -> GeneralDAE:
-        return GeneralDAE(
-            A=self.A, f=self.f, constraints=self.constraints, subspaces=self.subspaces
-        )
+        return GeneralDAE(A=self.A, f=self.f, constraints=self.constraints)
 
 
 def implicit_constraint_residual(dae, z) -> np.ndarray:
@@ -160,8 +168,7 @@ def check_proper(dae, z, field: ScalarField | None = None) -> ProperCheck:
             "properness is only meaningful on it",
             stacklevel=2,
         )
-    g = np.asarray(field.gradient(z), dtype=float)
-    residual = float(np.linalg.norm(project(dae.subspaces.null_basis, g)))
+    residual = float(np.linalg.norm(project(dae.subspaces.null_basis, _gradient(field, z))))
     return ProperCheck(residual <= 1e-10, residual)
 
 
@@ -188,11 +195,10 @@ def properize(v_tilde: ScalarField, dae) -> ScalarField:
         raise RankDeficientConstraints(
             "properization needs at least one constraint for a singular mass matrix"
         )
-    grads = [g.gradient for g in constraints]
     values = [g.value for g in constraints]
 
     def coefficients(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        G = np.column_stack([np.asarray(dg(z), dtype=float) for dg in grads])
+        G = np.column_stack([_gradient(g, z) for g in constraints])
         W = E.T @ G
         WWt = W @ W.T
         trace = float(np.trace(WWt))
@@ -206,7 +212,7 @@ def properize(v_tilde: ScalarField, dae) -> ScalarField:
             raise RankDeficientConstraints(
                 "constraint gradients are numerically rank deficient on the null space"
             )
-        rhs = -(E.T @ np.asarray(v_tilde.gradient(z), dtype=float))
+        rhs = -(E.T @ _gradient(v_tilde, z))
         y = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
         return W.T @ y, G
 
@@ -218,7 +224,7 @@ def properize(v_tilde: ScalarField, dae) -> ScalarField:
     def gradient(z):
         z = np.asarray(z, dtype=float)
         c, G = coefficients(z)
-        return np.asarray(v_tilde.gradient(z), dtype=float) + G @ c
+        return _gradient(v_tilde, z) + G @ c
 
     label = v_tilde.name or "field"
     return ScalarField(
@@ -280,7 +286,7 @@ def build_conservative_S(dae: GeneralDAE, V: ScalarField) -> Callable[[np.ndarra
 
     def S(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        g = np.asarray(V.gradient(z), dtype=float)
+        g = _gradient(V, z)
         gg = float(g @ g)
         if gg <= 1e-24:
             raise VanishingGradient(f"||grad V|| = {np.sqrt(gg):.3e} at z = {z}")
@@ -306,7 +312,7 @@ def build_dissipative_S(dae: GeneralDAE, V: ScalarField) -> Callable[[np.ndarray
         z = np.asarray(z, dtype=float)
         fz = np.asarray(dae.f(z), dtype=float)
         w = pinv @ fz
-        rate = float(w @ np.asarray(V.gradient(z), dtype=float))
+        rate = float(w @ _gradient(V, z))
         if abs(rate) <= 1e-12:
             raise VanishingDissipation(f"dissipation rate {rate:.3e} at z = {z}")
         return np.outer(fz, w) / rate

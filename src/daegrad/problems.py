@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NewtonError
-from .gradients import ScalarField, cosh_sum_field, linear_field, quadratic_field
+from .gradients import ScalarField, _gradient, cosh_sum_field, linear_field, quadratic_field
 from .integrators import NewtonConfig, newton_solve, project_to_constraint
 from .model import GeneralDAE, LinearGradientDAE
 
@@ -101,7 +101,7 @@ def make_smhs(seed: int = 0) -> ProblemSpec:
                 continue
             t = float(sol.w[0])
             z = t * direction
-            if abs(t) > 1e-3 and np.linalg.norm(f(z)) > 1e-6 and np.linalg.norm(H.gradient(z)) > 1e-6:
+            if abs(t) > 1e-3 and np.linalg.norm(f(z)) > 1e-6 and np.linalg.norm(_gradient(H, z)) > 1e-6:
                 return z
         return None
 
@@ -174,12 +174,14 @@ def make_constrained_hamiltonian() -> ProblemSpec:
 def make_friction(friction=(0.1, 0.1)) -> ProblemSpec:
     """Unit-mass pendulum with linear velocity friction; dissipates the augmented energy.
 
-    ``friction`` holds the two nonnegative drag coefficients.  All-zero
+    ``friction`` holds the two finite, nonnegative drag coefficients.  All-zero
     friction conserves the energy instead, and the structure claim says so.
     """
     fdiag = np.asarray(friction, dtype=float)
     if fdiag.shape != (2,):
         raise ValueError(f"friction must be two coefficients, got shape {fdiag.shape}")
+    if not np.all(np.isfinite(fdiag)):
+        raise ValueError("friction coefficients must be finite")
     if np.any(fdiag < 0):
         raise ValueError("friction coefficients must be nonnegative")
     F = np.diag(fdiag)

@@ -1,6 +1,7 @@
-"""``tools/bench_pairs.py`` summaries on synthetic records."""
+"""``tools/bench_pairs.py`` summaries on synthetic records, and its checkout checks on stub checkouts."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,54 @@ def test_gain_rule_is_judged_per_metric():
     summary = bench_pairs.summarize(_records([((p, 1.0), (c, 1.0)) for p, c in pairs]), END_TO_END)
     assert summary["ms_per_step"]["meets_gain_rule"] is True
     assert summary["accepted_frac"]["meets_gain_rule"] is False  # ties everywhere
+
+
+def _checkout(root, name, metric_names):
+    """A directory holding a stub ``benchmarks/run.py`` that records each of
+    its runs in ``ran`` and prints a correct record with every metric at 1."""
+    checkout = root / name
+    (checkout / "benchmarks").mkdir(parents=True)
+    metrics = {n: {"value": 1.0} for n in metric_names}
+    (checkout / "benchmarks" / "run.py").write_text(
+        "import json, pathlib\n"
+        "with open(pathlib.Path(__file__).parent / 'ran', 'a') as f:\n"
+        "    f.write('run\\n')\n"
+        f"print(json.dumps({{'correct': True, 'metrics': {metrics!r}}}))\n"
+    )
+    return checkout
+
+
+def _argv(parent, change, out):
+    return ["--parent", str(parent), "--change", str(change), "--workload", "small-systems",
+            "--first-seed", "1", "--pairs", "1", "--seconds", "1", "--out", str(out)]
+
+
+def _metric_names():
+    spec = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
+    return [m["name"] for m in spec["end_to_end"]]
+
+
+def test_checkouts_whose_paths_differ_in_length_are_refused_before_any_run(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", _metric_names())
+    change = _checkout(tmp_path, "change-x", _metric_names())
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(_argv(parent, change, tmp_path / "out.json"))
+    assert exc.value.code == 2
+    message = capsys.readouterr().err
+    assert f"{parent} ({len(str(parent))} characters)" in message
+    assert f"{change} ({len(str(change))} characters)" in message
+    assert not (parent / "benchmarks" / "ran").exists()
+    assert not (change / "benchmarks" / "ran").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_checkouts_of_equal_path_length_run_and_are_recorded(tmp_path):
+    parent = _checkout(tmp_path, "p15-parent", _metric_names())
+    change = _checkout(tmp_path, "p15-change", _metric_names())
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(_argv(parent, change, out)) == 0
+    result = json.loads(out.read_text())
+    assert str(parent) in result["method"] and str(change) in result["method"]
+    assert result["summary"]["small-systems"]["no_regression"] is True
+    for checkout in (parent, change):
+        assert (checkout / "benchmarks" / "ran").read_text() == "run\n"

@@ -236,8 +236,13 @@ def test_scalar_field_rejects_unknown_hints(hint):
         (lambda: ScalarField(0, lambda u: 0.0, lambda u: 0.0), "dim must be positive"),
         (lambda: quadratic_field(np.ones((2, 3))), "must be square"),
         (lambda: convex_quartic_field([1.0, -0.5]), "must be nonnegative"),
+        (lambda: convex_quartic_field(np.ones((2, 2))), "one coefficient per component"),
+        (lambda: convex_quartic_field(1.0), "one coefficient per component"),
+        (lambda: convex_quartic_field([math.nan]), "must be finite"),
+        (lambda: convex_quartic_field([1.0, math.inf]), "must be finite"),
     ],
-    ids=["zero-dim", "nonsquare-quadratic", "negative-curvature"],
+    ids=["zero-dim", "nonsquare-quadratic", "negative-curvature", "matrix-curvature",
+         "scalar-curvature", "nan-curvature", "inf-curvature"],
 )
 def test_field_constructors_reject_bad_input(build, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -355,6 +360,16 @@ def test_avf_rejects_a_separable_hint_whose_gradient_does_not_map_rows():
     flat = ScalarField(3, lambda u: 0.0, lambda u: np.ones(3), hint="separable", name="flat")
     with pytest.raises(ValueError, match="flat.*'separable'"):
         avf_gradient(flat, np.zeros(3), np.ones(3))
+
+
+@pytest.mark.parametrize("dg", [avf_gradient, midpoint_gradient, proper_gradient],
+                         ids=["avf", "midpoint", "proper"])
+def test_a_scalar_gradient_of_a_field_above_one_dimension_is_refused(dg):
+    # 1.0 is a gradient only for dim 1; broadcasting it to [1, 1, 1] would
+    # make up a gradient the field never gave
+    V = ScalarField(3, lambda u: float(np.sum(u)), lambda u: 1.0, name="flat")
+    with pytest.raises(ValueError, match="reshape"):
+        dg(V, np.array([0.1, 0.2, 0.3]), np.array([0.4, -0.5, 0.6]))
 
 
 def test_proper_accepts_a_gradient_that_reuses_one_buffer():

@@ -123,6 +123,13 @@ def test_newton_config_validation():
         NewtonConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_iters=0)
+    for tol in (math.nan, math.inf, -1e-12):
+        with pytest.raises(ValueError, match="residual_tol must be finite and positive"):
+            NewtonConfig(residual_tol=tol)
+    for iters in (2.5, 3.0, "5"):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            NewtonConfig(max_iters=iters)
+    assert NewtonConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 # ------------------------------------------------------- implicit Euler
@@ -433,7 +440,7 @@ def _gonzalez_targets():
     dae = make_problem("pendulum").dae
     return {
         "no-hamiltonian": replace(dae, hamiltonian=None),
-        "nonsingular": replace(dae, A=np.eye(5), subspaces=None),
+        "nonsingular": replace(dae, A=np.eye(5)),
         "two-constraints": replace(dae, constraints=dae.constraints * 2),
         "no-constraints": replace(dae, constraints=()),
     }
@@ -665,6 +672,46 @@ def test_step_rejects_a_non_finite_state(monkeypatch):
     with pytest.raises(ValueError, match="finite"):
         step(spec.dae, "dg-avf", z, 0.1)
     assert solves == []
+
+
+@pytest.mark.parametrize("shape", [(5,), (8, 1), ()], ids=["short", "column", "scalar"])
+@pytest.mark.parametrize("advance", [step, lambda *args: integrate(*args, 5)], ids=["step", "integrate"])
+def test_step_and_integrate_reject_a_state_of_the_wrong_shape(advance, shape, monkeypatch):
+    runs = [(make_problem("sinh-gordon", grid=8).dae, "dg-index1", 8),
+            (make_problem("smhs").dae, "implicit-euler", 3)]
+    solves = []
+    monkeypatch.setattr(integrators, "newton_solve", lambda *a, **k: solves.append(a))
+    for dae, scheme, dim in runs:
+        with pytest.raises(ValueError, match=rf"start state must have shape \({dim},\), got "):
+            advance(dae, scheme, np.zeros(shape), 0.1)
+    assert solves == []
+
+
+def test_replacing_A_changes_what_the_schemes_derive_from_it():
+    pendulum, lattice = make_problem("pendulum"), make_problem("sinh-gordon", grid=8)
+    with pytest.raises(ValueError, match="gonzalez.*singular A"):
+        step(replace(pendulum.dae, A=np.eye(5)), "gonzalez", pendulum.default_initial_state, 0.1)
+    out = step(replace(lattice.dae, A=np.eye(8)), "dg-index1", lattice.default_initial_state, 0.1)
+    assert out.c.shape == (0,)  # a nonsingular A has no redundant force
+
+
+def _float_gradient_system(gradient):
+    """``z' = -grad V`` for the 1-D quartic ``V = z^4/4 + z^2/2``."""
+    V = ScalarField(1, lambda z: float(0.25 * z[0] ** 4 + 0.5 * z[0] ** 2), gradient, name="V")
+    return LinearGradientDAE(np.eye(1), lambda z: np.array([[-1.0]]), V, structure_claim="dissipative")
+
+
+@pytest.mark.parametrize("scheme", ["dg-avf", "dg-index1", "implicit-euler"])
+def test_a_float_gradient_in_one_dimension_integrates_like_an_array(scheme):
+    def float_gradient(z):
+        return float(z[0] ** 3 + z[0])
+
+    runs = [integrate(_float_gradient_system(g), scheme, np.array([0.8]), 0.1, 10, cfg=TIGHT)
+            for g in (float_gradient, lambda z: np.array([float_gradient(z)]))]
+    as_float, as_array = runs
+    assert np.array_equal(as_float.states(), as_array.states())
+    assert [r.newton_iters for r in as_float.records] == [r.newton_iters for r in as_array.records]
+    assert [r.newton_residual for r in as_float.records] == [r.newton_residual for r in as_array.records]
 
 
 def test_integrate_validates_arguments():

@@ -8,6 +8,8 @@ invariant V = z1+z2+z3 points straight along it (not proper).  Adding
 identity strong enough to serve as a properization oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from daegrad.errors import (
     VanishingDissipation,
     VanishingGradient,
 )
-from daegrad.gradients import ScalarField, linear_field, quadratic_field
+from daegrad.gradients import ScalarField, cosh_sum_field, linear_field, quadratic_field
 from daegrad.model import (
     GeneralDAE,
     LinearGradientDAE,
@@ -27,6 +29,7 @@ from daegrad.model import (
     properize,
     verify_structure,
 )
+from daegrad.linalg import pseudo_inverse
 from daegrad.problems import make_friction, make_problem, make_smhs
 
 K = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
@@ -266,3 +269,67 @@ def test_dissipative_construction_rejects_stationary_rate():
     rest = np.array([1.0, 0.0, 0.0, 0.0, 0.0])  # zero velocity: no dissipation
     with pytest.raises(VanishingDissipation):
         S(rest)
+
+
+# --------------------------------------- derived subspaces, field reads
+
+
+@pytest.mark.parametrize("problem", ["smhs", "friction"])
+def test_replacing_A_derives_the_subspaces_again(problem):
+    dae = make_problem(problem).dae
+    for A2 in (2.0 * dae.A, np.eye(dae.dim)):
+        got = replace(dae, A=A2).subspaces
+        want = pseudo_inverse(A2)
+        assert got.rank == want.rank
+        for name in ("pinv", "null_basis", "range_perp_basis"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_system_classes_reject_a_subspaces_argument():
+    A = np.eye(2)
+    sub = pseudo_inverse(A)
+    with pytest.raises(TypeError):
+        GeneralDAE(A, lambda z: -z, subspaces=sub)
+    with pytest.raises(TypeError):
+        LinearGradientDAE(A, lambda z: -np.eye(2), quadratic_field(np.eye(2)), subspaces=sub)
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: GeneralDAE(np.eye(3), lambda z: -z, (linear_field(np.ones(2)),)),
+         "constraint acts on dimension 2, not 3"),
+        (lambda: LinearGradientDAE(np.eye(3), lambda z: np.eye(3), cosh_sum_field(2)),
+         "V acts on dimension 2, not 3"),
+        (lambda: LinearGradientDAE(np.eye(3), lambda z: np.eye(3), cosh_sum_field(3),
+                                   (linear_field(np.ones(4)),)),
+         "constraint acts on dimension 4, not 3"),
+    ],
+    ids=["general-constraint", "linear-V", "linear-constraint"],
+)
+def test_systems_reject_fields_of_another_dimension(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
+def _quartic_1d(gradient):
+    return ScalarField(1, lambda z: float(0.25 * z[0] ** 4 + 0.5 * z[0] ** 2), gradient, name="V")
+
+
+def _float_gradient(z):
+    return float(z[0] ** 3 + z[0])
+
+
+def test_a_float_gradient_in_one_dimension_is_read_like_an_array():
+    V_float = _quartic_1d(_float_gradient)
+    V_array = _quartic_1d(lambda z: np.array([_float_gradient(z)]))
+    dae = GeneralDAE(np.eye(1), lambda z: -np.asarray(z, dtype=float))
+    z = np.array([0.7])
+    lin = {V: LinearGradientDAE(np.eye(1), lambda z: np.array([[-1.0]]), V)
+           for V in (V_float, V_array)}
+    assert np.array_equal(lin[V_float].f(z), lin[V_array].f(z))
+    assert check_proper(dae, z, V_float) == check_proper(dae, z, V_array)
+    for build in (build_conservative_S, build_dissipative_S):
+        got, want = build(dae, V_float)(z), build(dae, V_array)(z)
+        assert got.shape == (1, 1)
+        assert np.array_equal(got, want)

@@ -9,6 +9,8 @@ Hand-computed values used below:
   dx = 1/4, so D [1,2,3,4] = (4, 4, 4, -12).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,9 @@ def test_friction_parameter_validation():
     for wrong_shape in ([0.1, 0.1, 0.1], np.diag([0.1, 0.1])):
         with pytest.raises(ValueError, match="two coefficients"):
             make_friction(friction=wrong_shape)
+    for not_finite in ([math.nan, 0.1], [0.1, math.inf], [-math.inf, 0.1]):
+        with pytest.raises(ValueError, match="finite"):
+            make_friction(friction=not_finite)
 
 
 # ------------------------------------------------------------- lattice PDE

@@ -11,7 +11,11 @@ runs once in each checkout with seed ``first_seed + k``; the parent runs
 first on even ``k`` and the change on odd ``k``, so that a drift of the
 host's speed falls on both sides alike.  With ``--trace-seed``, one
 ``--trace 1`` run per side and workload follows the pairs.  Every run uses
-the benchmark code of its own checkout.
+the benchmark code of its own checkout.  The two checkouts' resolved
+paths must have the same length, or the script exits with status 2 before
+any run: ``lattice-index1`` read about 4 % apart between identical
+checkouts whose paths differed in length, and alike between checkouts
+whose paths had equal length.  ``method`` records both paths.
 
 The output holds ``what``, ``method`` and ``host``; a ``summary`` per
 workload with, for every end-to-end metric of ``BENCHMARK.json``, each
@@ -175,6 +179,10 @@ def main(argv=None) -> int:
     for side, path in checkouts.items():
         if not (path / "benchmarks" / "run.py").is_file():
             parser.error(f"--{side} {path} has no benchmarks/run.py")
+    lengths = {side: len(str(path)) for side, path in checkouts.items()}
+    if lengths["parent"] != lengths["change"]:
+        parser.error("the checkouts' paths must have equal length: " + ", ".join(
+            f"--{side} {checkouts[side]} ({lengths[side]} characters)" for side in SIDES))
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
@@ -211,8 +219,9 @@ def main(argv=None) -> int:
         "method": f"python3 benchmarks/run.py --workload <w> --seed <s> --seconds {args.seconds:g} "
                   f"--trace 0, run from a checkout of each side; {args.pairs} pairs, seeds "
                   f"{args.first_seed}..{args.first_seed + args.pairs - 1}; pairs alternate which "
-                  f"side runs first (parent first on even pair indices){traced}; written by "
-                  f"tools/bench_pairs.py",
+                  f"side runs first (parent first on even pair indices){traced}; parent "
+                  f"checkout {checkouts['parent']}, change checkout {checkouts['change']}; "
+                  f"written by tools/bench_pairs.py",
         "host": f"{os.cpu_count()}-core {platform.system()} {platform.machine()}, "
                 f"Python {platform.python_version()}, one BLAS thread",
         "summary": {
