@@ -264,12 +264,10 @@ def _as_pair(V: ScalarField, z, zp) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gradient(V: ScalarField, z) -> np.ndarray:
-    """``grad V(z)`` at one point as a float vector of shape ``(V.dim,)``.
-
-    Every single-point read of a gradient in the library goes through here,
-    so a gradient may return an array, a list, or for ``dim`` 1 a float; a
-    result of any other size raises ``ValueError``.
-    """
+    """``grad V(z)`` at one point as a float vector of shape ``(V.dim,)``;
+    every single-point gradient read in the library comes here.  It accepts
+    an array, a list or, for ``dim`` 1, a float, and raises ``ValueError``
+    on any other size."""
     return np.asarray(V.gradient(z), dtype=float).reshape(V.dim)
 
 
@@ -288,14 +286,11 @@ def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
     The seven nodes are one ``(7, dim)`` array.  A field hinted
     ``"separable"`` gets that whole array in one gradient call, which must
     return an array of the same shape, or ``ValueError`` is raised.  Every
-    other field gets one call per node, read as :func:`_gradient` reads it
-    and copied into its row as soon as it returns: such a gradient may
-    return a list, a float when ``dim`` is 1, or one buffer that it reuses
-    between calls, and need not broadcast over rows (``X @ z`` does not).
-    A result of any other size, such as a scalar for ``dim`` above 1,
-    raises ``ValueError``, as it does in the midpoint and proper
-    gradients.  At coincident points all three return a copy of
-    ``grad V(z)``.
+    other field gets one call per node, read by :func:`_gradient` and
+    copied into its row as soon as it returns, so it may reuse one buffer
+    between calls and need not broadcast over rows (``X @ z`` does not).
+    The midpoint and proper gradients read it the same way, and at
+    coincident points all three return a copy of ``grad V(z)``.
     """
     z, zp = _as_pair(V, z, zp)
     if (z == zp).all():

@@ -67,10 +67,10 @@ class GeneralDAE:
 
     ``constraints`` optionally lists scalar functions whose joint zero set
     is the configuration manifold; they are used by properization and by
-    diagnostics, not by the solvers themselves.  ``subspaces`` is not an
-    argument: every construction, ``dataclasses.replace`` included, derives
-    it from ``A``.  A constraint whose ``dim`` differs from the state's
-    raises ``ValueError``.
+    diagnostics, not by the solvers themselves.  ``subspaces`` is derived
+    from ``A`` on every construction, ``dataclasses.replace`` included, and
+    is not an argument.  A constraint whose ``dim`` differs from the
+    state's raises ``ValueError``.
     """
 
     A: np.ndarray

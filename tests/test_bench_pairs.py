@@ -1,4 +1,5 @@
-"""``tools/bench_pairs.py`` summaries on synthetic records, and its checkout checks on stub checkouts."""
+"""``tools/bench_pairs.py``: summaries on synthetic records, and the
+checkout checks on stub checkouts."""
 
 import importlib.util
 import json
@@ -101,12 +102,14 @@ def test_gain_rule_is_judged_per_metric():
     assert summary["accepted_frac"]["meets_gain_rule"] is False  # ties everywhere
 
 
-def _checkout(root, name, metric_names):
+def _checkout(root, name):
     """A directory holding a stub ``benchmarks/run.py`` that records each of
-    its runs in ``ran`` and prints a correct record with every metric at 1."""
+    its runs in ``ran`` and prints a correct record with every end-to-end
+    metric of ``BENCHMARK.json`` at 1."""
     checkout = root / name
     (checkout / "benchmarks").mkdir(parents=True)
-    metrics = {n: {"value": 1.0} for n in metric_names}
+    spec = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
     (checkout / "benchmarks" / "run.py").write_text(
         "import json, pathlib\n"
         "with open(pathlib.Path(__file__).parent / 'ran', 'a') as f:\n"
@@ -121,14 +124,9 @@ def _argv(parent, change, out):
             "--first-seed", "1", "--pairs", "1", "--seconds", "1", "--out", str(out)]
 
 
-def _metric_names():
-    spec = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
-    return [m["name"] for m in spec["end_to_end"]]
-
-
 def test_checkouts_whose_paths_differ_in_length_are_refused_before_any_run(tmp_path, capsys):
-    parent = _checkout(tmp_path, "parent", _metric_names())
-    change = _checkout(tmp_path, "change-x", _metric_names())
+    parent = _checkout(tmp_path, "parent")
+    change = _checkout(tmp_path, "change-x")
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(_argv(parent, change, tmp_path / "out.json"))
     assert exc.value.code == 2
@@ -141,8 +139,8 @@ def test_checkouts_whose_paths_differ_in_length_are_refused_before_any_run(tmp_p
 
 
 def test_checkouts_of_equal_path_length_run_and_are_recorded(tmp_path):
-    parent = _checkout(tmp_path, "p15-parent", _metric_names())
-    change = _checkout(tmp_path, "p15-change", _metric_names())
+    parent = _checkout(tmp_path, "parent")
+    change = _checkout(tmp_path, "change")
     out = tmp_path / "out.json"
     assert bench_pairs.main(_argv(parent, change, out)) == 0
     result = json.loads(out.read_text())

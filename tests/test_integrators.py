@@ -687,12 +687,11 @@ def test_step_and_integrate_reject_a_state_of_the_wrong_shape(advance, shape, mo
     assert solves == []
 
 
-def test_replacing_A_changes_what_the_schemes_derive_from_it():
-    pendulum, lattice = make_problem("pendulum"), make_problem("sinh-gordon", grid=8)
-    with pytest.raises(ValueError, match="gonzalez.*singular A"):
-        step(replace(pendulum.dae, A=np.eye(5)), "gonzalez", pendulum.default_initial_state, 0.1)
+def test_index1_on_a_replaced_nonsingular_A_has_no_redundant_force():
+    # the gonzalez refusal of a replaced A is the "nonsingular" case above
+    lattice = make_problem("sinh-gordon", grid=8)
     out = step(replace(lattice.dae, A=np.eye(8)), "dg-index1", lattice.default_initial_state, 0.1)
-    assert out.c.shape == (0,)  # a nonsingular A has no redundant force
+    assert out.c.shape == (0,)
 
 
 def _float_gradient_system(gradient):
@@ -706,9 +705,10 @@ def test_a_float_gradient_in_one_dimension_integrates_like_an_array(scheme):
     def float_gradient(z):
         return float(z[0] ** 3 + z[0])
 
-    runs = [integrate(_float_gradient_system(g), scheme, np.array([0.8]), 0.1, 10, cfg=TIGHT)
-            for g in (float_gradient, lambda z: np.array([float_gradient(z)]))]
-    as_float, as_array = runs
+    as_float, as_array = [
+        integrate(_float_gradient_system(g), scheme, np.array([0.8]), 0.1, 10, cfg=TIGHT)
+        for g in (float_gradient, lambda z: np.array([float_gradient(z)]))
+    ]
     assert np.array_equal(as_float.states(), as_array.states())
     assert [r.newton_iters for r in as_float.records] == [r.newton_iters for r in as_array.records]
     assert [r.newton_residual for r in as_float.records] == [r.newton_residual for r in as_array.records]

@@ -19,6 +19,7 @@ from daegrad.errors import (
     VanishingGradient,
 )
 from daegrad.gradients import ScalarField, cosh_sum_field, linear_field, quadratic_field
+from daegrad.linalg import pseudo_inverse
 from daegrad.model import (
     GeneralDAE,
     LinearGradientDAE,
@@ -29,7 +30,6 @@ from daegrad.model import (
     properize,
     verify_structure,
 )
-from daegrad.linalg import pseudo_inverse
 from daegrad.problems import make_friction, make_problem, make_smhs
 
 K = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])

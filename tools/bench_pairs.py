@@ -14,8 +14,7 @@ host's speed falls on both sides alike.  With ``--trace-seed``, one
 the benchmark code of its own checkout.  The two checkouts' resolved
 paths must have the same length, or the script exits with status 2 before
 any run: ``lattice-index1`` read about 4 % apart between identical
-checkouts whose paths differed in length, and alike between checkouts
-whose paths had equal length.  ``method`` records both paths.
+checkouts whose paths differed in length.  ``method`` records both paths.
 
 The output holds ``what``, ``method`` and ``host``; a ``summary`` per
 workload with, for every end-to-end metric of ``BENCHMARK.json``, each
