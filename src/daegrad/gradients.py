@@ -36,6 +36,7 @@ The policy is fixed: none of the constructions takes a tuning parameter.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -102,20 +103,23 @@ class ScalarField:
     name: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        if not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise ValueError(f"dim must be positive and integral, got {self.dim!r}")
         if self.hint not in _HINTS:
             raise ValueError(f"unknown hint {self.hint!r}, expected one of {_HINTS}")
 
 
 def quadratic_field(X, linear=None, name: str = "") -> ScalarField:
-    """The field ``V(z) = z^T X z / 2 + <b, z>`` for symmetric ``X``."""
+    """The field ``V(z) = z^T X z / 2 + <b, z>`` for symmetric ``X`` and a
+    vector ``b = linear`` of matching length (zero when omitted)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"X must be square, got shape {X.shape}")
     if not np.allclose(X, X.T, atol=1e-12):
         raise ValueError("X must be symmetric")
     b = np.zeros(X.shape[0]) if linear is None else np.asarray(linear, dtype=float)
+    if b.shape != (X.shape[0],):
+        raise ValueError(f"linear must have shape ({X.shape[0]},), got {b.shape}")
 
     def divergence(z, z0):
         h = np.asarray(z, dtype=float) - np.asarray(z0, dtype=float)
@@ -135,6 +139,8 @@ def quadratic_field(X, linear=None, name: str = "") -> ScalarField:
 def linear_field(gamma, name: str = "") -> ScalarField:
     """The field ``V(z) = <gamma, z>`` (affine gradient, so hint quadratic)."""
     g = np.asarray(gamma, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"gamma must be a vector, got shape {g.shape}")
     return ScalarField(
         dim=g.shape[0],
         value=lambda z: float(g @ z),

@@ -16,16 +16,15 @@ on a forward-difference Jacobian.  The schemes, by name:
   of ``V = H + lam^T g`` for a system that declares its ``hamiltonian``;
   it enforces ``g(x1) + g(x0) = 0`` and fixes only the multipliers' average.
 
-``step`` takes one step of any of them, starting Newton at the current
-state.  ``integrate`` drives a run, records per-step diagnostics, and
-returns the partial trajectory inside a :class:`StepFailure` if a step
-fails mid-run.  From its second step on, ``integrate`` starts Newton at
-the line ``2 z_m - z_{m-1}`` through the last two states, and solves
-again from ``z_m`` if that start fails.  A plain discrete-gradient scheme
-on a singular ``A`` leaves the null-space components to the algebraic
-rows; it gets the line start only on a system that is index 1 at ``z0``
-(the algebraic rows fix those components there), and otherwise keeps
-starting at ``z_m``.
+``integrate`` drives a run of any of them, records per-step diagnostics,
+and returns the partial trajectory inside a :class:`StepFailure` if a step
+fails mid-run.  The first Newton solve of a run starts at ``z0``.  From
+the second step on, it starts at the line ``2 z_m - z_{m-1}`` through the
+last two states, and solves again from ``z_m`` if that start fails.  A
+plain discrete-gradient scheme on a singular ``A`` leaves the null-space
+components to the algebraic rows; it gets the line start only on a
+system that is index 1 at ``z0`` (the algebraic rows fix those components
+there), and otherwise keeps starting at ``z_m``.
 """
 
 from __future__ import annotations
@@ -61,8 +60,6 @@ __all__ = [
     "NewtonConfig",
     "NewtonResult",
     "newton_solve",
-    "StepResult",
-    "step",
     "project_to_constraint",
     "StepRecord",
     "Trajectory",
@@ -165,17 +162,6 @@ def newton_solve(
         if step_size <= _STEP_TOL * (1.0 + float(np.max(np.abs(w)))):
             raise NoConvergence(it, rnorm, "step stagnated")
     raise NoConvergence(cfg.max_iters, rnorm)
-
-
-class StepResult(NamedTuple):
-    """New state plus solver diagnostics; ``c`` is empty unless the scheme
-    carries a redundant null-space force."""
-
-    state: np.ndarray
-    c: np.ndarray
-    newton_iters: int
-    newton_residual: float
-    fallback_used: bool
 
 
 class _Scheme(NamedTuple):
@@ -316,23 +302,13 @@ def _bind(target, scheme: str) -> _Scheme:
     return _discrete_gradient(target, scheme)
 
 
-def _checked_start(z, dt: float, dim: int) -> np.ndarray:
-    """``z`` as a float array; ``ValueError`` unless ``dt`` is finite and
-    positive and ``z`` is a finite vector of shape ``(dim,)``."""
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (dim,):
-        raise ValueError(f"the start state must have shape ({dim},), got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("the start state must be finite")
-    return z
-
-
-def _advance(bound: _Scheme, z, dt: float, cfg: NewtonConfig, guess=None) -> StepResult:
-    """One step from ``z``; Newton starts at ``guess`` when given, and
-    again at ``z`` if that solve fails."""
-    z = np.asarray(z, dtype=float)
+def _advance(
+    bound: _Scheme, z: np.ndarray, dt: float, cfg: NewtonConfig, guess=None
+) -> tuple[NewtonResult, bool]:
+    """One step from ``z``: the accepted Newton solve, whose ``w`` is the new
+    state followed by the ``extra`` components, and whether the gradient
+    fell back.  Newton starts at ``guess`` when given, and again at ``z`` if
+    that solve fails."""
     residual = bound.build(z, dt)
     extra = np.zeros(bound.extra)
     sol = None
@@ -351,11 +327,9 @@ def _advance(bound: _Scheme, z, dt: float, cfg: NewtonConfig, guess=None) -> Ste
                     "determine the null-space components; use the index-1 scheme"
                 ) from exc
             raise
-    d = z.shape[0]
-    z_new, c = sol.w[:d], sol.w[d:]
     fallback = False
     if bound.kind is not None:
-        _, fallback = discrete_gradient_info(bound.kind, bound.V, z_new, z)
+        _, fallback = discrete_gradient_info(bound.kind, bound.V, sol.w[: z.shape[0]], z)
     if fallback:
         warnings.warn(
             "interior-division gradient fell back to the midpoint form; "
@@ -363,24 +337,7 @@ def _advance(bound: _Scheme, z, dt: float, cfg: NewtonConfig, guess=None) -> Ste
             FallbackCompromisedConservation,
             stacklevel=3,
         )
-    return StepResult(z_new, c, sol.iters, sol.residual_norm, fallback)
-
-
-def step(target, scheme: str, z, dt: float, cfg: NewtonConfig = NewtonConfig()) -> StepResult:
-    """Advance ``target`` by one step of ``scheme`` (one of :data:`SCHEMES`).
-
-    ``target`` is matched to the scheme as in :func:`integrate`; a
-    mismatch or an unknown name raises ``ValueError``, and so do a ``dt``
-    that is not finite and positive and a ``z`` that is not a finite vector
-    of the system's dimension.  The Newton guess is ``z`` (with zero
-    redundant force).  A plain discrete-gradient step on a system with
-    singular ``A`` whose Newton Jacobian comes out singular raises
-    :class:`UnderdeterminedSystem`.  A midpoint fallback
-    inside the final gradient evaluation is reported via the result flag
-    and a :class:`FallbackCompromisedConservation` warning.
-    """
-    bound = _bind(target, scheme)
-    return _advance(bound, _checked_start(z, dt, target.dim), dt, cfg)
+    return sol, fallback
 
 
 def project_to_constraint(dae, z0, cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
@@ -472,8 +429,9 @@ def integrate(
     """Advance ``target`` by ``steps`` steps of size ``dt``.
 
     ``target`` is a :class:`GeneralDAE` or :class:`LinearGradientDAE`,
-    matched to the scheme.  Observers are
-    named scalar fields whose values are recorded at every state.  The
+    matched to the scheme.  Observers are scalar fields on the system's
+    dimension whose values are recorded at every state under their names;
+    an unnamed one at index ``i`` is called ``observer<i>``.  The
     first Newton solve starts at ``z0``; each later one starts at the
     linear extrapolation ``2 z_m - z_{m-1}`` of the last two states, and
     if that solve fails it is solved again from ``z_m``.  A plain
@@ -482,22 +440,36 @@ def integrate(
     null-space components there); on index-3 systems such as the pendulum
     it always starts at ``z_m``.
     The redundant force of the index-1 scheme always starts at zero.  The
-    index-1 scheme first projects ``z0`` onto the constraint manifold.  A
-    ``z0`` that is not a finite vector of the system's dimension, or a
-    ``dt`` that is not finite and positive, raises ``ValueError``.
+    index-1 scheme first projects ``z0`` onto the constraint manifold.
+    ``ValueError`` is raised before any solve for ``steps`` that is not an
+    integer of at least 1, a ``dt`` that is not finite and positive, a
+    ``z0`` that is not a finite vector of the system's dimension, and
+    observers of another dimension or with clashing names.
     ``newton_iters`` counts the iterations of the solve that was accepted.
     Returns ``steps + 1`` records; a solver or linear-algebra error in a
     step raises :class:`StepFailure` carrying the partial trajectory, and
     one in the projection raises it for step 0 with the unprojected
     ``z0`` as the only record.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
     bound = _bind(target, scheme)
-    z = _checked_start(z0, dt, target.dim).copy()
+    d = target.dim
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    z = np.array(z0, dtype=float)
+    if z.shape != (d,):
+        raise ValueError(f"the start state must have shape ({d},), got {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("the start state must be finite")
+    names = [obs.name or f"observer{i}" for i, obs in enumerate(observers)]
+    if len(set(names)) < len(names):
+        raise ValueError(f"observer names must be distinct, got {names}")
+    for name, obs in zip(names, observers):
+        model._check_dim(f"observer {name!r}", obs, d)
 
     def observe(state):
-        return {obs.name or f"observer{i}": float(obs.value(state)) for i, obs in enumerate(observers)}
+        return {name: float(obs.value(state)) for name, obs in zip(names, observers)}
 
     def initial(state):
         record = StepRecord(0, 0.0, state.copy(), observe(state), _constraint_norm(target, state),
@@ -515,10 +487,10 @@ def integrate(
     for m in range(1, steps + 1):
         guess = 2.0 * z - prev if predict and prev is not None else None
         try:
-            result = _advance(bound, z, dt, cfg, guess)
+            sol, fallback = _advance(bound, z, dt, cfg, guess)
         except (DaegradError, np.linalg.LinAlgError) as exc:
             raise StepFailure(m, exc, traj) from exc
-        prev, z = z, result.state
+        prev, z, c = z, sol.w[:d], sol.w[d:]
         traj.records.append(
             StepRecord(
                 step_index=m,
@@ -526,10 +498,10 @@ def integrate(
                 state=z.copy(),
                 invariant_values=observe(z),
                 constraint_residual_norm=_constraint_norm(target, z),
-                redundant_c_norm=float(np.linalg.norm(result.c)) if result.c.size else 0.0,
-                newton_iters=result.newton_iters,
-                newton_residual=result.newton_residual,
-                fallback_used=result.fallback_used,
+                redundant_c_norm=float(np.linalg.norm(c)) if c.size else 0.0,
+                newton_iters=sol.iters,
+                newton_residual=sol.residual_norm,
+                fallback_used=fallback,
             )
         )
     return traj

@@ -251,8 +251,9 @@ def verify_structure(dae: LinearGradientDAE, samples) -> StructureReport:
     Conservative systems must show a skew-symmetric product (max-abs
     residual), dissipative ones a negative-semidefinite symmetric part
     (largest eigenvalue); either figure may reach 1e-9 at the worst sample.
-    Samples are expected to lie on the configuration manifold.  A system
-    without a claim passes trivially.
+    Samples are expected to lie on the configuration manifold; a claim
+    with no samples to check raises ``ValueError``.  A system without a
+    claim passes trivially.
     """
     claim = dae.structure_claim
     if claim == "none":
@@ -265,7 +266,9 @@ def verify_structure(dae: LinearGradientDAE, samples) -> StructureReport:
             residuals.append(is_skew_symmetric(P).residual)
         else:
             residuals.append(is_negative_semidefinite(P).max_eigenvalue)
-    worst = max(residuals) if residuals else 0.0
+    if not residuals:
+        raise ValueError(f"no samples to check the {claim} claim at")
+    worst = max(residuals)
     return StructureReport(claim, worst <= 1e-9, float(worst))
 
 

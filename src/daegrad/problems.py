@@ -224,18 +224,20 @@ def make_friction(friction=(0.1, 0.1)) -> ProblemSpec:
     )
 
 
-def make_mixed_derivative(grid: int = 32, length: float = 2.0 * math.pi, amplitude: float = 0.5) -> ProblemSpec:
-    """Periodic semi-discretization of ``u_tx = sinh(u)`` on ``grid`` points.
+def make_mixed_derivative(grid: int = 32) -> ProblemSpec:
+    """Periodic semi-discretization of ``u_tx = sinh(u)`` on ``grid`` points
+    over the period ``2 pi``.
 
     The mass matrix is the forward-difference circulant (null space: the
     constant vector), the structure matrix is the constant average
     circulant, and the potential is the cosh sum.  The implied constraint
-    is the vanishing sinh sum, exposed as the invariant ``F``.
+    is the vanishing sinh sum, exposed as the invariant ``F``.  The initial
+    profile is the sine wave of amplitude 0.5, projected onto the constraint.
     """
     I = int(grid)
     if I < 3:
         raise ValueError(f"grid must have at least 3 points, got {I}")
-    dx = length / I
+    dx = 2.0 * math.pi / I
     shift = np.roll(np.eye(I), 1, axis=1)  # maps u_i -> u_{i+1}, periodic
     D = (shift - np.eye(I)) / dx
     Mavg = 0.5 * (shift + np.eye(I))
@@ -254,7 +256,7 @@ def make_mixed_derivative(grid: int = 32, length: float = 2.0 * math.pi, amplitu
 
     u0 = np.zeros(I)
     for i in range(1, (I + 1) // 2):
-        value = amplitude * math.sin(2.0 * math.pi * i / I)
+        value = 0.5 * math.sin(2.0 * math.pi * i / I)
         u0[i] = value
         u0[I - i] = -value  # mirror so the sinh sum cancels pairwise
     u0 = project_to_constraint(dae, u0)

@@ -240,9 +240,14 @@ def test_scalar_field_rejects_unknown_hints(hint):
         (lambda: convex_quartic_field(1.0), "one coefficient per component"),
         (lambda: convex_quartic_field([math.nan]), "must be finite"),
         (lambda: convex_quartic_field([1.0, math.inf]), "must be finite"),
+        (lambda: cosh_sum_field(2.5), "dim must be positive"),
+        (lambda: quadratic_field(np.eye(3), linear=np.ones(2)), r"linear must have shape \(3,\)"),
+        (lambda: quadratic_field(np.eye(3), linear=np.ones((3, 3))), r"linear must have shape \(3,\)"),
+        (lambda: linear_field(np.ones((2, 2))), "gamma must be a vector"),
     ],
     ids=["zero-dim", "nonsquare-quadratic", "negative-curvature", "matrix-curvature",
-         "scalar-curvature", "nan-curvature", "inf-curvature"],
+         "scalar-curvature", "nan-curvature", "inf-curvature", "fractional-dim",
+         "short-linear", "matrix-linear", "matrix-gamma"],
 )
 def test_field_constructors_reject_bad_input(build, fragment):
     with pytest.raises(ValueError, match=fragment):

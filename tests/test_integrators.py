@@ -23,7 +23,6 @@ from daegrad.integrators import (
     integrate,
     newton_solve,
     project_to_constraint,
-    step,
 )
 from daegrad.model import GeneralDAE, LinearGradientDAE
 from daegrad.problems import make_friction, make_problem
@@ -137,10 +136,10 @@ def test_newton_config_validation():
 
 def test_implicit_euler_scalar_decay_closed_form():
     dae = GeneralDAE(np.eye(1), lambda z: -z)
-    out = step(dae, "implicit-euler", np.array([1.0]), 0.1, TIGHT)
+    out = integrate(dae, "implicit-euler", np.array([1.0]), 0.1, 1, cfg=TIGHT).records[-1]
     # (z1 - z0)/dt = -z1  =>  z1 = z0 / (1 + dt)
     assert out.state[0] == pytest.approx(1.0 / 1.1, abs=1e-12)
-    assert out.c.size == 0
+    assert out.redundant_c_norm == 0.0
     assert not out.fallback_used
 
 
@@ -173,10 +172,10 @@ def test_dg_scalar_step_closed_form(variant):
         np.eye(1), lambda z: -np.eye(1), quadratic_field(np.eye(1)),
         structure_claim="dissipative",
     )
-    out = step(dae, f"dg-{variant}", np.array([1.0]), 0.1, TIGHT)
+    z1 = integrate(dae, f"dg-{variant}", np.array([1.0]), 0.1, 1, cfg=TIGHT).final_state
     # quadratic V: every variant reduces to the midpoint average,
     # (z1 - z0)/dt = -(z0 + z1)/2
-    assert out.state[0] == pytest.approx((1.0 - 0.05) / (1.0 + 0.05), abs=1e-12)
+    assert z1[0] == pytest.approx((1.0 - 0.05) / (1.0 + 0.05), abs=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["avf", "midpoint"])
@@ -277,16 +276,18 @@ def test_dg_underdetermined_null_component_detected():
         quadratic_field(np.eye(2)),
         structure_claim="none",
     )
-    with pytest.raises(UnderdeterminedSystem):
-        step(dae, "dg-midpoint", np.array([1.0, 0.3]), 0.1)
+    with pytest.raises(StepFailure) as info:
+        integrate(dae, "dg-midpoint", np.array([1.0, 0.3]), 0.1, 1)
+    assert isinstance(info.value.cause, UnderdeterminedSystem)
 
 
 def test_singular_jacobian_without_free_null_space_is_not_underdetermined():
     # implicit Euler leaves no null-space component free; 0 z' = 1 has no solution
     dae = GeneralDAE(np.zeros((1, 1)), lambda z: np.ones(1))
-    with pytest.raises(SingularJacobian) as info:
-        step(dae, "implicit-euler", np.zeros(1), 0.1)
-    assert not isinstance(info.value, UnderdeterminedSystem)
+    with pytest.raises(StepFailure) as info:
+        integrate(dae, "implicit-euler", np.zeros(1), 0.1, 1)
+    assert isinstance(info.value.cause, SingularJacobian)
+    assert not isinstance(info.value.cause, UnderdeterminedSystem)
 
 
 def test_dg_conserves_with_state_dependent_structure():
@@ -305,7 +306,7 @@ def test_dg_conserves_with_state_dependent_structure():
         assert np.abs(V - V[0]).max() <= 1e-12
         assert np.ptp(traj.states()[:, 0] ** 2) > 0.5  # S really changes
     # any skew S conserves V, so check the scheme itself: Sbar is the endpoint average
-    z1 = step(dae, "dg-midpoint", z0, 0.4, TIGHT).state
+    z1 = integrate(dae, "dg-midpoint", z0, 0.4, 1, cfg=TIGHT).final_state
     gbar = 0.5 * (z1 + z0)  # exact for the quadratic V
     assert np.allclose((z1 - z0) / 0.4, 0.5 * (S(z1) + S(z0)) @ gbar, rtol=0.0, atol=1e-12)
     assert not np.allclose((z1 - z0) / 0.4, S(z0) @ gbar, rtol=0.0, atol=1e-3)
@@ -370,7 +371,7 @@ def test_index1_fallback_warns_about_conservation():
                     gradient=lambda z: gamma.copy(), hint="general", name="V")
     dae = LinearGradientDAE(np.eye(2), rotation_system().S, V, structure_claim="conservative")
     with pytest.warns(FallbackCompromisedConservation):
-        out = step(dae, "dg-index1", np.array([1.0, 0.0]), 0.1, TIGHT)
+        out = integrate(dae, "dg-index1", np.array([1.0, 0.0]), 0.1, 1, cfg=TIGHT).records[-1]
     assert out.fallback_used
     assert V.value(out.state) == pytest.approx(V.value(np.array([1.0, 0.0])), abs=1e-12)
 
@@ -394,8 +395,7 @@ def test_gonzalez_conserves_energy_and_constraint():
 def test_gonzalez_reflects_initial_constraint_violation():
     spec = make_problem("pendulum")
     z0 = np.array([1.1, 0.0, 0.0, 0.0, 0.0])  # |q| != 1
-    out = step(spec.gonzalez, "gonzalez", z0, 0.1, TIGHT)
-    q1 = out.state[:2]
+    q1 = integrate(spec.gonzalez, "gonzalez", z0, 0.1, 1, cfg=TIGHT).final_state[:2]
     g1 = 0.5 * (q1 @ q1 - 1.0)
     # the scheme enforces g(q1) = -g(q0)
     assert g1 == pytest.approx(-0.105, abs=1e-10)
@@ -412,7 +412,7 @@ GONZALEZ_STEP = np.array([
 
 def test_gonzalez_step_matches_the_former_block_scheme():
     spec = make_problem("pendulum")
-    out = step(spec.dae, "gonzalez", spec.default_initial_state, 0.1)
+    out = integrate(spec.dae, "gonzalez", spec.default_initial_state, 0.1, 1).records[-1]
     assert out.newton_iters == 3
     assert np.abs(out.state - GONZALEZ_STEP).max() <= 1e-13
 
@@ -450,7 +450,7 @@ def _gonzalez_targets():
 def test_gonzalez_binding_checks_the_declaration(case):
     target = _gonzalez_targets()[case]
     with pytest.raises(ValueError, match="gonzalez"):
-        step(target, "gonzalez", make_problem("pendulum").default_initial_state, 0.1)
+        integrate(target, "gonzalez", make_problem("pendulum").default_initial_state, 0.1, 1)
 
 
 def test_friction_gonzalez_dissipates_on_the_constraint():
@@ -500,7 +500,7 @@ def test_step_rejects_mismatched_or_unknown_scheme(target, scheme):
         "linear": rotation_system(),
     }[target]
     with pytest.raises(ValueError):
-        step(system, scheme, np.zeros(5), 0.1)
+        integrate(system, scheme, np.zeros(5), 0.1, 1)
 
 
 def test_step_looks_up_discrete_gradient_at_call_time(monkeypatch):
@@ -526,7 +526,7 @@ def test_step_looks_up_discrete_gradient_at_call_time(monkeypatch):
     for scheme, variant, fallback_checks in [("dg-avf", "avf", 0), ("dg-proper", "proper", 1)]:
         dg_calls.clear()
         residual_calls.clear()
-        out = step(rotation_system(), scheme, np.array([1.0, 0.0]), 0.1, TIGHT)
+        out = integrate(rotation_system(), scheme, np.array([1.0, 0.0]), 0.1, 1, cfg=TIGHT).records[-1]
         assert out.newton_iters >= 1
         assert set(dg_calls) == {variant}
         assert len(dg_calls) == len(residual_calls) + fallback_checks
@@ -653,7 +653,7 @@ def test_integrate_rejects_non_finite_initial_state(bad, monkeypatch):
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
-@pytest.mark.parametrize("advance", [step, lambda *args: integrate(*args, 5)], ids=["step", "integrate"])
+@pytest.mark.parametrize("advance", [lambda *args: integrate(*args, 5)], ids=["integrate"])
 def test_step_and_integrate_reject_a_dt_that_is_not_finite_and_positive(advance, dt, monkeypatch):
     spec = make_problem("sinh-gordon", grid=8)
     solves = []
@@ -670,12 +670,12 @@ def test_step_rejects_a_non_finite_state(monkeypatch):
     z = spec.default_initial_state.copy()
     z[3] = math.nan
     with pytest.raises(ValueError, match="finite"):
-        step(spec.dae, "dg-avf", z, 0.1)
+        integrate(spec.dae, "dg-avf", z, 0.1, 1)
     assert solves == []
 
 
 @pytest.mark.parametrize("shape", [(5,), (8, 1), ()], ids=["short", "column", "scalar"])
-@pytest.mark.parametrize("advance", [step, lambda *args: integrate(*args, 5)], ids=["step", "integrate"])
+@pytest.mark.parametrize("advance", [lambda *args: integrate(*args, 5)], ids=["integrate"])
 def test_step_and_integrate_reject_a_state_of_the_wrong_shape(advance, shape, monkeypatch):
     runs = [(make_problem("sinh-gordon", grid=8).dae, "dg-index1", 8),
             (make_problem("smhs").dae, "implicit-euler", 3)]
@@ -690,8 +690,8 @@ def test_step_and_integrate_reject_a_state_of_the_wrong_shape(advance, shape, mo
 def test_index1_on_a_replaced_nonsingular_A_has_no_redundant_force():
     # the gonzalez refusal of a replaced A is the "nonsingular" case above
     lattice = make_problem("sinh-gordon", grid=8)
-    out = step(replace(lattice.dae, A=np.eye(8)), "dg-index1", lattice.default_initial_state, 0.1)
-    assert out.c.shape == (0,)
+    out = integrate(replace(lattice.dae, A=np.eye(8)), "dg-index1", lattice.default_initial_state, 0.1, 1)
+    assert out.records[-1].redundant_c_norm == 0.0
 
 
 def _float_gradient_system(gradient):
@@ -727,6 +727,35 @@ def test_integrate_validates_arguments():
         integrate(spec.dae, "gonzalez", z0, 0.1, 10)
     with pytest.raises(ValueError):
         integrate(spec.dae, "leapfrog", z0, 0.1, 10)
+    assert len(integrate(spec.dae, "implicit-euler", z0, 0.1, np.int64(2))) == 3
+
+
+@pytest.mark.parametrize("steps", [2.5, "3", 0, -1])
+def test_integrate_refuses_a_step_count_that_is_not_a_positive_integer(steps, monkeypatch):
+    spec = make_problem("sinh-gordon", grid=8)
+    solves = []
+    monkeypatch.setattr(integrators, "newton_solve", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValueError, match="steps must be an integer of at least 1"):
+        integrate(spec.dae, "dg-index1", spec.default_initial_state, 0.1, steps)
+    assert solves == []  # refused before the projection or any step
+
+
+@pytest.mark.parametrize("case", ["g-named-H", "unnamed-and-observer0", "dim-3"])
+def test_integrate_refuses_clashing_or_misshapen_observers(case, monkeypatch):
+    spec = make_problem("pendulum")
+    H, g = (next(obs for obs in spec.observers if obs.name == name) for name in ("H", "g"))
+    observers, message = {
+        "g-named-H": ((H, replace(g, name="H")), "observer names must be distinct"),
+        "unnamed-and-observer0": ((replace(H, name=""), replace(g, name="observer0")),
+                                  "observer names must be distinct"),
+        "dim-3": ((H, quadratic_field(np.eye(3), name="W")),
+                  "observer 'W' acts on dimension 3, not 5"),
+    }[case]
+    solves = []
+    monkeypatch.setattr(integrators, "newton_solve", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValueError, match=message):
+        integrate(spec.dae, "dg-index1", spec.default_initial_state, 0.1, 3, observers=observers)
+    assert solves == []  # refused before the projection or any step
 
 
 def test_integrate_index1_projects_initial_state():
@@ -785,16 +814,18 @@ def test_index_check_asks_whether_the_algebraic_rows_fix_the_null_space(S, index
 def test_step_starts_newton_at_the_current_state(monkeypatch):
     starts = _record_starts(monkeypatch)
     lattice, pendulum = make_problem("sinh-gordon", grid=8), make_problem("pendulum")
+    # the index-1 scheme's start projection solves first, and returns z
+    # unchanged for a state that is already on the manifold
     cases = [
-        (lattice.dae, "dg-index1", lattice.default_initial_state, 1),
-        (lattice.dae, "implicit-euler", lattice.default_initial_state, 0),
-        (pendulum.gonzalez, "gonzalez", pendulum.default_initial_state, 0),
+        (lattice.dae, "dg-index1", lattice.default_initial_state, 1, 1),
+        (lattice.dae, "implicit-euler", lattice.default_initial_state, 0, 0),
+        (pendulum.gonzalez, "gonzalez", pendulum.default_initial_state, 0, 0),
     ]
-    for target, scheme, z, extra in cases:
+    for target, scheme, z, extra, projections in cases:
         starts.clear()
-        step(target, scheme, z, 0.1)
-        assert len(starts) == 1
-        assert np.array_equal(starts[0], np.concatenate([z, np.zeros(extra)]))
+        integrate(target, scheme, z, 0.1, 1)
+        assert len(starts) == projections + 1
+        assert np.array_equal(starts[-1], np.concatenate([z, np.zeros(extra)]))
 
 
 @pytest.mark.parametrize("name, scheme", [("pendulum", "dg-midpoint"), ("friction", "dg-midpoint")])

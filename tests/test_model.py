@@ -222,6 +222,13 @@ def test_verify_structure_detects_false_claim():
     assert report.worst_residual == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("name", ["sinh-gordon", "pendulum", "friction"])
+def test_verify_structure_refuses_a_claim_without_samples(name):
+    dae = make_problem(name).dae
+    with pytest.raises(ValueError, match=f"no samples to check the {dae.structure_claim} claim"):
+        verify_structure(dae, [])
+
+
 def test_verify_structure_no_claim_is_trivially_true():
     V = quadratic_field(np.eye(2))
     dae = LinearGradientDAE(np.eye(2), lambda z: np.eye(2), V, structure_claim="none")

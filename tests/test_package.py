@@ -14,8 +14,8 @@ PUBLIC = {
     "cosh_sum_field", "convex_quartic_field", "discrete_gradient_info", "linear_field",
     "midpoint_gradient", "proper_gradient", "quadratic_field", "theta_coefficient",
     # integrators
-    "SCHEMES", "NewtonConfig", "NewtonResult", "StepRecord", "StepResult", "Trajectory",
-    "integrate", "newton_solve", "project_to_constraint", "step",
+    "SCHEMES", "NewtonConfig", "NewtonResult", "StepRecord", "Trajectory",
+    "integrate", "newton_solve", "project_to_constraint",
     # linalg
     "SubspaceData", "is_negative_semidefinite", "is_skew_symmetric", "penrose_residuals",
     "project", "pseudo_inverse",
@@ -43,4 +43,4 @@ def test_every_public_name_resolves_on_the_package():
 
 def test_public_surface_is_pinned():
     assert set(daegrad.__all__) == PUBLIC
-    assert len(PUBLIC) == 56
+    assert len(PUBLIC) == 54

@@ -113,7 +113,7 @@ def test_smhs_factored_form_supports_energy_conservation():
     # wrap the reconstructed structure matrix into a gradient system and
     # check one discrete-gradient step holds H fixed
     from daegrad.gradients import quadratic_field
-    from daegrad.integrators import NewtonConfig, step
+    from daegrad.integrators import NewtonConfig, integrate
     from daegrad.model import LinearGradientDAE, build_conservative_S
 
     spec = make_smhs()
@@ -122,8 +122,8 @@ def test_smhs_factored_form_supports_energy_conservation():
     S = build_conservative_S(spec.dae, H)
     factored = LinearGradientDAE(spec.dae.A, S, H, structure_claim="conservative")
     z0 = spec.default_initial_state
-    out = step(factored, "dg-midpoint", z0, 0.05, NewtonConfig(residual_tol=1e-13))
-    assert H.value(out.state) == pytest.approx(H.value(z0), abs=1e-11)
+    z1 = integrate(factored, "dg-midpoint", z0, 0.05, 1, cfg=NewtonConfig(residual_tol=1e-13)).final_state
+    assert H.value(z1) == pytest.approx(H.value(z0), abs=1e-11)
 
 
 # ---------------------------------------------------------------- pendulum
@@ -198,10 +198,10 @@ def test_friction_parameter_validation():
 
 
 def test_lattice_operators_frozen_values():
-    spec = make_mixed_derivative(grid=4, length=1.0)
+    spec = make_mixed_derivative(grid=4)  # dx = pi/2
     u = np.array([1.0, 2.0, 3.0, 4.0])
     D = spec.dae.A
-    assert np.allclose(D @ u, [4.0, 4.0, 4.0, -12.0], atol=1e-13)
+    assert np.allclose(D @ u, np.array([1.0, 1.0, 1.0, -3.0]) * 2.0 / math.pi, atol=1e-13)
     Mavg = spec.dae.S(u)
     assert np.allclose(Mavg @ u, [1.5, 2.5, 3.5, 2.5], atol=1e-13)
 
@@ -218,16 +218,13 @@ def test_lattice_operator_identities():
 
 
 def test_lattice_initial_profile_antisymmetric_and_consistent():
-    spec = make_mixed_derivative(grid=16, amplitude=0.5)
+    spec = make_mixed_derivative(grid=16)
     u0 = spec.default_initial_state
     assert u0[0] == 0.0
     assert np.allclose(u0[1:], -u0[1:][::-1], atol=1e-13)
     assert abs(np.sum(np.sinh(u0))) <= 1e-12
     # the i = 4 node sits at the sine crest, so the peak is the amplitude
     assert np.abs(u0).max() == pytest.approx(0.5, abs=1e-12)
-
-    smaller = make_mixed_derivative(grid=16, amplitude=0.25).default_initial_state
-    assert np.abs(smaller).max() == pytest.approx(np.abs(u0).max() / 2.0, abs=1e-12)
 
 
 def test_lattice_rejects_degenerate_grid():
