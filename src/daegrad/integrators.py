@@ -33,7 +33,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -423,7 +423,7 @@ def integrate(
     z0,
     dt: float,
     steps: int,
-    observers: Sequence[ScalarField] = (),
+    observers: Iterable[ScalarField] = (),
     cfg: NewtonConfig = NewtonConfig(),
 ) -> Trajectory:
     """Advance ``target`` by ``steps`` steps of size ``dt``.
@@ -462,6 +462,7 @@ def integrate(
         raise ValueError(f"the start state must have shape ({d},), got {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("the start state must be finite")
+    observers = tuple(observers)  # read at every state, so an iterator must not run dry
     names = [obs.name or f"observer{i}" for i, obs in enumerate(observers)]
     if len(set(names)) < len(names):
         raise ValueError(f"observer names must be distinct, got {names}")

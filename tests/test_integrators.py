@@ -588,6 +588,9 @@ def test_integrate_observer_series_match_states():
     assert np.array_equal(traj.invariant_series(field.name), recomputed)
     with pytest.raises(KeyError):
         traj.invariant_series("no-such-observer")
+    once = integrate(spec.dae, "dg-midpoint", spec.default_initial_state, 0.1, 5,
+                     observers=(obs for obs in spec.observers), cfg=TIGHT)
+    assert [r.invariant_values for r in once.records] == [r.invariant_values for r in traj.records]
 
 
 def test_integrate_step_failure_carries_partial_trajectory():
