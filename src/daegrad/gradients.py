@@ -110,16 +110,20 @@ class ScalarField:
 
 
 def quadratic_field(X, linear=None, name: str = "") -> ScalarField:
-    """The field ``V(z) = z^T X z / 2 + <b, z>`` for symmetric ``X`` and a
-    vector ``b = linear`` of matching length (zero when omitted)."""
+    """The field ``V(z) = z^T X z / 2 + <b, z>`` for finite symmetric ``X``
+    and a finite vector ``b = linear`` of matching length (zero when omitted)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"X must be square, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X coefficients must be finite")
     if not np.allclose(X, X.T, atol=1e-12):
         raise ValueError("X must be symmetric")
     b = np.zeros(X.shape[0]) if linear is None else np.asarray(linear, dtype=float)
     if b.shape != (X.shape[0],):
         raise ValueError(f"linear must have shape ({X.shape[0]},), got {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("linear coefficients must be finite")
 
     def divergence(z, z0):
         h = np.asarray(z, dtype=float) - np.asarray(z0, dtype=float)
@@ -137,10 +141,13 @@ def quadratic_field(X, linear=None, name: str = "") -> ScalarField:
 
 
 def linear_field(gamma, name: str = "") -> ScalarField:
-    """The field ``V(z) = <gamma, z>`` (affine gradient, so hint quadratic)."""
+    """The field ``V(z) = <gamma, z>`` for a finite vector ``gamma`` (affine
+    gradient, so hint quadratic)."""
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 1:
         raise ValueError(f"gamma must be a vector, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gamma coefficients must be finite")
     return ScalarField(
         dim=g.shape[0],
         value=lambda z: float(g @ z),
@@ -157,12 +164,16 @@ _SINH_SERIES = tuple(1.0 / math.factorial(2 * k + 3) for k in reversed(range(8))
 def _sinh_minus_identity(h: np.ndarray) -> np.ndarray:
     """``sinh(h) - h`` element-wise; where ``|h| <= 0.5`` the cancellation-free
     Horner sum ``h^3 sum_{k<8} h^(2k) / (2k+3)!``, which reaches double precision.
-    The direct difference is evaluated only when some ``|h|`` exceeds 0.5."""
+    The direct difference is evaluated only when some ``|h|`` exceeds 0.5.
+    The sum runs in place in one buffer, rounded in the order of
+    ``poly = poly h^2 + c`` per coefficient and ``series = (h h^2) poly``."""
     h2 = h * h
-    poly = _SINH_SERIES[0]
-    for c in _SINH_SERIES[1:]:
-        poly = poly * h2 + c
-    series = h * h2 * poly
+    series = h2 * _SINH_SERIES[0]
+    series += _SINH_SERIES[1]
+    for c in _SINH_SERIES[2:]:
+        series *= h2
+        series += c
+    series *= h * h2
     small = np.abs(h) <= 0.5
     if small.all():
         return series

@@ -104,14 +104,23 @@ class NewtonResult(NamedTuple):
 
 def _fd_jacobian(residual, w, r0):
     """Forward-difference Jacobian at ``w``, ``r0 = residual(w)``, with the
-    step ``sqrt(eps) (1 + max |w|)`` in every coordinate."""
+    step ``h = sqrt(eps) (1 + max |w|)`` in every coordinate.
+
+    Row ``j`` of one buffer takes the raw ``residual(w + h e_j)``, each from
+    a fresh perturbed copy of ``w`` (a residual may keep its argument); the
+    differences ``(row - r0) / h`` are formed once over the whole buffer,
+    which rounds every entry as a per-column difference would.  Returns the
+    transposed view, an F-ordered ``(len(r0), len(w))`` array.
+    """
     h = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(w))))
-    J = np.empty((r0.shape[0], w.shape[0]))
+    rows = np.empty((w.shape[0], r0.shape[0]))
     for j in range(w.shape[0]):
         wj = w.copy()
         wj[j] += h
-        J[:, j] = (np.asarray(residual(wj), dtype=float) - r0) / h
-    return J
+        rows[j] = residual(wj)
+    rows -= r0
+    rows /= h
+    return rows.T
 
 
 def newton_solve(
@@ -149,7 +158,7 @@ def newton_solve(
         for _ in range(_MAX_HALVINGS + 1):
             w_new = w + scale * delta
             r_new = np.asarray(residual(w_new), dtype=float)
-            rnorm_new = float(np.max(np.abs(r_new)))
+            rnorm_new = float(np.abs(r_new).max())
             if rnorm_new <= cfg.residual_tol or rnorm_new < rnorm:
                 break
             scale *= 0.5

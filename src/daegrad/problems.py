@@ -28,6 +28,7 @@ Problems (CLI names in parentheses):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -80,7 +81,7 @@ def make_smhs(seed: int = 0) -> ProblemSpec:
         z = np.asarray(z, dtype=float)
         total = z.sum()
         w = z * (1.0 + 3.0 * z - total)
-        s = (np.roll(z, -1) - z) ** 2
+        s = (z[[1, 2, 0]] - z) ** 2  # z_{i+1} - z_i, cyclic
         return 0.5 * (M @ w - s)
 
     H = quadratic_field(K, name="H")
@@ -234,9 +235,9 @@ def make_mixed_derivative(grid: int = 32) -> ProblemSpec:
     is the vanishing sinh sum, exposed as the invariant ``F``.  The initial
     profile is the sine wave of amplitude 0.5, projected onto the constraint.
     """
+    if not isinstance(grid, numbers.Integral) or grid < 3:
+        raise ValueError(f"grid must be an integer of at least 3, got {grid!r}")
     I = int(grid)
-    if I < 3:
-        raise ValueError(f"grid must have at least 3 points, got {I}")
     dx = 2.0 * math.pi / I
     shift = np.roll(np.eye(I), 1, axis=1)  # maps u_i -> u_{i+1}, periodic
     D = (shift - np.eye(I)) / dx

@@ -26,10 +26,13 @@ the worse side of the parent's as a fraction of it (0 when not worse),
 (at least ``GAIN_MIN_PAIRS`` complete pairs, the change better in at least
 nine tenths of all pairs run, and its median better than the parent's by
 more than the distance between the parent's quartiles), and per workload
-``no_regression``, whether every ``worse_frac`` is within its bound; the
+``no_regression``, whether every ``worse_frac`` is within its bound,
+``csv_identical``, whether both sides wrote the same CSV bytes in every
+pair, and each side's largest ``|V_err|`` and constraint norm; the
 traced records per workload and, in ``traced_counts``, every
 per-layer metric of unit ``count`` from them as parent, change and ratio;
-and ``records``, the last stdout line of every run.  A run that outlasts
+and ``records``, the last stdout line of every run with ``runs``, each
+run's digest, failing step and accuracy from the full record before it.  A run that outlasts
 ``RUN_TIMEOUT_FLOOR_S + RUN_TIMEOUT_FACTOR * --seconds`` is stopped and
 recorded as ``"correct": false`` with the error ``"timed out"``.  The
 script exits with status 1 if a run failed or reported ``"correct":
@@ -65,8 +68,31 @@ def label(checkout: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else checkout.name
 
 
+# what each run of the full record keeps: enough to compare CSV bytes and
+# accuracy across sides
+RUN_FIELDS = ("run", "csv_sha256", "failed_at_step", "max_abs_V_err", "max_constraint_norm")
+
+
+def run_summaries(lines: list[str]) -> list[dict] | None:
+    """``RUN_FIELDS`` of each run in the full record, which ``benchmarks/run.py``
+    prints as indented JSON from a line ``{`` up to the line before the last;
+    None when there is no such record."""
+    starts = [i for i, line in enumerate(lines[:-1]) if line == "{"]
+    if not starts:
+        return None
+    try:
+        full = json.loads("\n".join(lines[starts[-1]:-1]))
+    except json.JSONDecodeError:
+        return None
+    runs = full.get("runs") if isinstance(full, dict) else None
+    if not isinstance(runs, list):
+        return None
+    return [{key: run.get(key) for key in RUN_FIELDS} for run in runs]
+
+
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``benchmarks/run.py`` run; its last stdout line, or an error record."""
+    """One ``benchmarks/run.py`` run: its last stdout line, with ``runs`` from
+    :func:`run_summaries` added, or an error record."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     try:
@@ -82,6 +108,7 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: 
     if proc.returncode != 0 or not isinstance(record, dict):
         tail = proc.stderr.strip().splitlines()[-3:]
         return {"correct": False, "error": f"exit {proc.returncode}: {' | '.join(tail)}"}
+    record["runs"] = run_summaries(lines)
     return record
 
 
@@ -102,12 +129,23 @@ def worse_frac(parent: float, change: float, better: str) -> float | None:
     return worse / abs(parent) if parent else None
 
 
+def _largest(records: list[dict], key: str) -> float | None:
+    """The largest ``key`` over every run of ``records``; None without one."""
+    values = [run[key] for r in records for run in r["record"].get("runs") or ()
+              if run.get(key) is not None]
+    return max(values) if values else None
+
+
 def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
     """Per-metric medians, quartiles, ratio, pairs won, bound, ``worse_frac``
     and ``meets_gain_rule``, over the untraced records of one workload;
     ``end_to_end`` is the list of the same name in ``BENCHMARK.json``.
     ``no_regression`` says whether every metric has a ``worse_frac`` within
-    its ``bound`` (false when no pair is complete)."""
+    its ``bound`` (false when no pair is complete).  ``csv_identical`` says
+    whether the change's runs wrote the parent's CSV digests in every
+    complete pair (None when no pair is complete or a record has no
+    ``runs``), and ``<side>_max_abs_V_err`` and
+    ``<side>_max_constraint_norm`` are each side's largest over its runs."""
     by_pair = {}
     for r in records:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["record"]
@@ -139,6 +177,15 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
         m["worse_frac"] is not None and m["worse_frac"] <= m["bound"] for m in out.values()
     )
     out["all_correct"] = all(r["record"].get("correct") is True for r in records)
+    digests = [[None if p[side].get("runs") is None
+                 else [(run["run"], run["csv_sha256"]) for run in p[side]["runs"]]
+                 for side in SIDES] for p in complete]
+    out["csv_identical"] = (all(d[0] == d[1] for d in digests)
+                            if complete and all(None not in d for d in digests) else None)
+    for side in SIDES:
+        mine = [r for r in records if r["side"] == side]
+        for key in ("max_abs_V_err", "max_constraint_norm"):
+            out[f"{side}_{key}"] = _largest(mine, key)
     return out
 
 
