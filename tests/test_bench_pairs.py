@@ -148,3 +148,81 @@ def test_checkouts_of_equal_path_length_run_and_are_recorded(tmp_path):
     assert result["summary"]["small-systems"]["no_regression"] is True
     for checkout in (parent, change):
         assert (checkout / "benchmarks" / "ran").read_text() == "run\n"
+
+
+def _with_runs(records, digests, v_errs=None):
+    """``records`` with a ``runs`` list added to each record: one run per
+    entry of ``digests[i]``, the digests of record ``i``."""
+    for i, (r, ds) in enumerate(zip(records, digests)):
+        errs = v_errs[i] if v_errs else [1e-14] * len(ds)
+        r["record"]["runs"] = [
+            {"run": f"run{k}", "csv_sha256": d, "failed_at_step": None,
+             "max_abs_V_err": e, "max_constraint_norm": None if e is None else 2 * e}
+            for k, (d, e) in enumerate(zip(ds, errs))
+        ]
+    return records
+
+
+def test_csv_identical_when_both_sides_write_the_same_digests():
+    records = _records([((1.0, 1.0), (0.9, 1.0))] * 2)
+    _with_runs(records, [["a", "b"]] * 4)
+    assert bench_pairs.summarize(records, END_TO_END)["csv_identical"] is True
+
+
+def test_csv_identical_is_false_when_one_pair_differs():
+    records = _records([((1.0, 1.0), (0.9, 1.0))] * 3)
+    _with_runs(records, [["a", "b"]] * 5 + [["a", "c"]])  # pair 2's change side
+    assert bench_pairs.summarize(records, END_TO_END)["csv_identical"] is False
+
+
+def test_csv_identical_is_none_without_runs_or_complete_pairs():
+    records = _records([((1.0, 1.0), (0.9, 1.0))] * 2)
+    assert bench_pairs.summarize(records, END_TO_END)["csv_identical"] is None
+    _with_runs(records, [["a"]] * 4)
+    del records[3]["record"]["runs"]
+    assert bench_pairs.summarize(records, END_TO_END)["csv_identical"] is None
+    records = _records([((1.0, 1.0), (1.0, 1.0))])
+    records[1]["record"] = {"correct": False, "error": "timed out"}
+    assert bench_pairs.summarize(records, END_TO_END)["csv_identical"] is None
+
+
+def test_summary_reports_each_sides_largest_accuracy_figures():
+    records = _records([((1.0, 1.0), (0.9, 1.0))] * 2)
+    # parent, change, parent, change; a run without a CSV has None
+    _with_runs(records, [["a", "b"]] * 4,
+               [[1e-15, 3e-14], [2e-14, 1e-15], [5e-15, None], [1e-15, 4e-14]])
+    summary = bench_pairs.summarize(records, END_TO_END)
+    assert summary["parent_max_abs_V_err"] == 3e-14
+    assert summary["change_max_abs_V_err"] == 4e-14
+    assert summary["parent_max_constraint_norm"] == 6e-14
+    assert summary["change_max_constraint_norm"] == 8e-14
+    assert summary["no_regression"] is True  # the new fields are not metrics
+    del records[0]["record"]["runs"], records[2]["record"]["runs"]
+    assert bench_pairs.summarize(records, END_TO_END)["parent_max_abs_V_err"] is None
+
+
+def test_run_summaries_read_the_full_record_before_the_last_line():
+    full = {"workload": "w", "runs": [
+        {"run": "p/s", "argv": "run ...", "exit_code": 2, "accepted_steps": 441,
+         "failed_at_step": 442, "max_abs_V_err": 0.99, "max_constraint_norm": 2e-4,
+         "csv_sha256": "ab12", "gates_broken": []}]}
+    last = json.dumps({"correct": True, "metrics": {}})
+    lines = ["progress", *json.dumps(full, indent=1).splitlines(), last]
+    assert bench_pairs.run_summaries(lines) == [
+        {"run": "p/s", "csv_sha256": "ab12", "failed_at_step": 442,
+         "max_abs_V_err": 0.99, "max_constraint_norm": 2e-4}]
+    assert bench_pairs.run_summaries([last]) is None
+    assert bench_pairs.run_summaries(["{", " \"runs\": [", last]) is None
+    assert bench_pairs.run_summaries(["{", "}", last]) is None
+
+
+def test_stub_checkouts_without_a_full_record_give_none(tmp_path):
+    parent = _checkout(tmp_path, "parent")
+    change = _checkout(tmp_path, "change")
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(_argv(parent, change, out)) == 0
+    result = json.loads(out.read_text())
+    summary = result["summary"]["small-systems"]
+    assert summary["csv_identical"] is None
+    assert summary["parent_max_abs_V_err"] is None
+    assert all(r["record"]["runs"] is None for r in result["records"])

@@ -177,6 +177,32 @@ def test_sinh_minus_identity_selects_the_branch_entry_by_entry():
     assert np.array_equal(got[~small], (np.sinh(hs) - hs)[~small])
 
 
+def _sinh_minus_identity_out_of_place(h):
+    """The Horner loop that ``_sinh_minus_identity`` runs in place, kept as
+    the reference for its rounding order."""
+    h2 = h * h
+    poly = gradients._SINH_SERIES[0]
+    for c in gradients._SINH_SERIES[1:]:
+        poly = poly * h2 + c
+    series = h * h2 * poly
+    small = np.abs(h) <= 0.5
+    if small.all():
+        return series
+    return np.where(small, series, np.sinh(h) - h)
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 0.5), (0.5, 4.0), (0.0, 1.5)],
+                         ids=["series", "direct", "mixed"])
+def test_sinh_minus_identity_rounds_as_the_out_of_place_horner_loop(low, high):
+    rng = np.random.default_rng(37)
+    for size in (1, 7, 128):
+        h = rng.uniform(low, high, size) * rng.choice([-1.0, 1.0], size)
+        assert np.array_equal(gradients._sinh_minus_identity(h),
+                              _sinh_minus_identity_out_of_place(h))
+    small = np.abs(h) <= 0.5
+    assert small.any() == (low < 0.5) and (~small).any() == (high > 0.5)
+
+
 def test_cosh_divergence_vanishes_at_coincidence():
     V = cosh_sum_field(4)
     for z in (np.zeros(4), np.array([0.3, -2.5, 1e-9, 2.9]), np.full(4, -0.5)):
@@ -244,10 +270,16 @@ def test_scalar_field_rejects_unknown_hints(hint):
         (lambda: quadratic_field(np.eye(3), linear=np.ones(2)), r"linear must have shape \(3,\)"),
         (lambda: quadratic_field(np.eye(3), linear=np.ones((3, 3))), r"linear must have shape \(3,\)"),
         (lambda: linear_field(np.ones((2, 2))), "gamma must be a vector"),
+        (lambda: quadratic_field(np.array([[math.inf]])), "X coefficients must be finite"),
+        (lambda: quadratic_field(np.array([[math.nan]])), "X coefficients must be finite"),
+        (lambda: quadratic_field(np.eye(2), linear=[math.inf, 0.0]),
+         "linear coefficients must be finite"),
+        (lambda: linear_field([math.nan, 1.0]), "gamma coefficients must be finite"),
     ],
     ids=["zero-dim", "nonsquare-quadratic", "negative-curvature", "matrix-curvature",
          "scalar-curvature", "nan-curvature", "inf-curvature", "fractional-dim",
-         "short-linear", "matrix-linear", "matrix-gamma"],
+         "short-linear", "matrix-linear", "matrix-gamma", "inf-quadratic", "nan-quadratic",
+         "inf-linear", "nan-gamma"],
 )
 def test_field_constructors_reject_bad_input(build, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -117,6 +117,62 @@ def test_newton_damped_with_callers_jacobian_makes_no_difference_columns():
         assert not any(np.array_equal(w, at + h) for w in residuals)
 
 
+def _fd_jacobian_by_columns(residual, w, r0):
+    """The column-by-column loop that ``_fd_jacobian`` replaced, kept as the
+    reference for how each entry is rounded."""
+    h = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(w))))
+    J = np.empty((r0.shape[0], w.shape[0]))
+    for j in range(w.shape[0]):
+        wj = w.copy()
+        wj[j] += h
+        J[:, j] = (np.asarray(residual(wj), dtype=float) - r0) / h
+    return J
+
+
+def _assert_fd_jacobian_matches_columns(residual, w):
+    r0 = np.asarray(residual(w), dtype=float)
+    got = integrators._fd_jacobian(residual, w, r0)
+    assert got.shape == (r0.shape[0], w.shape[0])
+    assert np.array_equal(got, _fd_jacobian_by_columns(residual, w, r0))
+
+
+def test_fd_jacobian_rounds_as_the_column_loop_on_a_nonlinear_residual():
+    rng = np.random.default_rng(23)
+    for dim in (1, 2, 6, 17):
+        for _ in range(4):
+            w = rng.normal(scale=2.0, size=dim)
+            _assert_fd_jacobian_matches_columns(
+                lambda v: np.sinh(v) * v[::-1] + np.cumsum(v ** 3) - 0.5 * np.exp(-v * v), w
+            )
+
+
+def test_fd_jacobian_rounds_as_the_column_loop_on_a_list_residual():
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        _assert_fd_jacobian_matches_columns(
+            lambda v: [math.cos(v[0]) * v[1], v[0] ** 2 - v[1] / 3.0, math.atan(v[0] * v[1])],
+            rng.normal(size=2),
+        )
+
+
+def test_fd_jacobian_gives_each_column_its_own_perturbed_point():
+    # a residual may keep what it is given; every kept point must still be
+    # w moved in exactly its own coordinate
+    rng = np.random.default_rng(31)
+    for dim in (3, 5, 8):
+        kept = []
+
+        def keeping(v):
+            kept.append(v)
+            return np.tanh(v) * 2.0 + v.sum() ** 2
+
+        w = rng.normal(scale=3.0, size=dim)
+        _assert_fd_jacobian_matches_columns(keeping, w)
+        ours = kept[1 : 1 + dim]  # after residual(w), before the reference's columns
+        for j, point in enumerate(ours):
+            assert np.array_equal(np.flatnonzero(point != w), [j])
+
+
 def test_newton_config_validation():
     with pytest.raises(ValueError):
         NewtonConfig(residual_tol=0.0)

@@ -232,6 +232,16 @@ def test_lattice_rejects_degenerate_grid():
         make_mixed_derivative(grid=2)
 
 
+@pytest.mark.parametrize("grid", [3.7, 8.0, "8"])
+def test_lattice_refuses_a_grid_that_is_not_an_integer(grid):
+    with pytest.raises(ValueError, match="grid must be an integer of at least 3"):
+        make_problem("sinh-gordon", grid=grid)
+
+
+def test_lattice_accepts_a_numpy_integer_grid():
+    assert make_problem("sinh-gordon", grid=np.int64(8)).dae.dim == 8
+
+
 # ------------------------------------------------------------ linear fixture
 
 

@@ -31,8 +31,9 @@ more than the distance between the parent's quartiles), and per workload
 pair, and each side's largest ``|V_err|`` and constraint norm; the
 traced records per workload and, in ``traced_counts``, every
 per-layer metric of unit ``count`` from them as parent, change and ratio;
-and ``records``, the last stdout line of every run with ``runs``, each
-run's digest, failing step and accuracy from the full record before it.  A run that outlasts
+and ``records``, the last stdout line of every run, to which ``runs``
+adds each run's CSV digest, failing step and accuracy from the full
+record before it.  A run that outlasts
 ``RUN_TIMEOUT_FLOOR_S + RUN_TIMEOUT_FACTOR * --seconds`` is stopped and
 recorded as ``"correct": false`` with the error ``"timed out"``.  The
 script exits with status 1 if a run failed or reported ``"correct":
@@ -81,10 +82,9 @@ def run_summaries(lines: list[str]) -> list[dict] | None:
     if not starts:
         return None
     try:
-        full = json.loads("\n".join(lines[starts[-1]:-1]))
+        runs = json.loads("\n".join(lines[starts[-1]:-1])).get("runs")
     except json.JSONDecodeError:
         return None
-    runs = full.get("runs") if isinstance(full, dict) else None
     if not isinstance(runs, list):
         return None
     return [{key: run.get(key) for key in RUN_FIELDS} for run in runs]
@@ -178,10 +178,10 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
     )
     out["all_correct"] = all(r["record"].get("correct") is True for r in records)
     digests = [[None if p[side].get("runs") is None
-                 else [(run["run"], run["csv_sha256"]) for run in p[side]["runs"]]
-                 for side in SIDES] for p in complete]
-    out["csv_identical"] = (all(d[0] == d[1] for d in digests)
-                            if complete and all(None not in d for d in digests) else None)
+                else [(run["run"], run["csv_sha256"]) for run in p[side]["runs"]]
+                for side in SIDES] for p in complete]
+    known = complete and all(None not in d for d in digests)
+    out["csv_identical"] = all(d[0] == d[1] for d in digests) if known else None
     for side in SIDES:
         mine = [r for r in records if r["side"] == side]
         for key in ("max_abs_V_err", "max_constraint_norm"):
