@@ -11,7 +11,9 @@ Three constructions are provided:
 * ``avf_gradient`` - the average of ``grad V`` along the segment from
   ``z'`` to ``z``, evaluated by 7-node Gauss-Legendre quadrature;
 * ``midpoint_gradient`` - the midpoint gradient plus a rank-one
-  correction along ``z - z'`` that enforces the chain rule exactly;
+  correction along ``z - z'`` that enforces the chain rule exactly; for
+  a quadratic field the midpoint gradient satisfies it already, so the
+  result is ``grad V((z + z') / 2)`` with no correction;
 * ``proper_gradient`` - an interior division of the endpoint gradients,
   ``theta * grad V(z) + (1 - theta) * grad V(z')``.  Its distinguishing
   feature is that the result stays inside the span of endpoint gradients,
@@ -76,7 +78,9 @@ class ScalarField:
 
     ``hint`` declares what the discrete-gradient machinery may exploit:
     ``"quadratic"`` means the gradient is affine (so the interior-division
-    coefficient is exactly one half); ``"separable"`` means
+    coefficient is exactly one half, and the midpoint gradient is
+    ``grad V`` at the midpoint, with no correction and no ``value``
+    call); ``"separable"`` means
     ``V(z) = sum_i v_i(z_i)`` with a gradient that also maps a ``(k, dim)``
     stack of points row by row to an array of that shape, so that
     :func:`avf_gradient` evaluates all its quadrature nodes in one call;
@@ -103,7 +107,8 @@ class ScalarField:
     name: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+        if (isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral)
+                or self.dim < 1):
             raise ValueError(f"dim must be positive and integral, got {self.dim!r}")
         if self.hint not in _HINTS:
             raise ValueError(f"unknown hint {self.hint!r}, expected one of {_HINTS}")
@@ -329,8 +334,16 @@ def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
 
 
 def midpoint_gradient(V: ScalarField, z, zp) -> np.ndarray:
-    """Midpoint gradient with the rank-one chain-rule correction."""
+    """Midpoint gradient with the rank-one chain-rule correction.
+
+    A field hinted ``"quadratic"`` has an affine gradient, so
+    ``<grad V(m), z - z'> = V(z) - V(z')`` holds exactly at the midpoint
+    ``m``, the correction vanishes, and a copy of ``grad V(m)`` is returned
+    without a ``value`` call; coincident points are no exception.
+    """
     z, zp = _as_pair(V, z, zp)
+    if V.hint == "quadratic":
+        return _gradient(V, 0.5 * (z + zp)).copy()
     delta = z - zp
     dd = float(delta @ delta)
     if _coincide(z, dd):

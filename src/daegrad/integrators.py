@@ -83,8 +83,8 @@ _STEP_TOL = 1e-14
 @dataclass(frozen=True)
 class NewtonConfig:
     """Stopping rules for the Newton iteration: a finite, positive
-    ``residual_tol`` and an integral ``max_iters`` of at least 1, or
-    ``ValueError``."""
+    ``residual_tol`` and an integral ``max_iters`` (not a ``bool``) of at
+    least 1, or ``ValueError``."""
 
     residual_tol: float = 1e-12
     max_iters: int = 50
@@ -92,7 +92,8 @@ class NewtonConfig:
     def __post_init__(self):
         if not (self.residual_tol > 0 and math.isfinite(self.residual_tol)):
             raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
 
 
@@ -451,16 +452,17 @@ def integrate(
     The redundant force of the index-1 scheme always starts at zero.  The
     index-1 scheme first projects ``z0`` onto the constraint manifold.
     ``ValueError`` is raised before any solve for ``steps`` that is not an
-    integer of at least 1, a ``dt`` that is not finite and positive, a
-    ``z0`` that is not a finite vector of the system's dimension, and
-    observers of another dimension or with clashing names.
+    integer of at least 1 (a ``bool`` is not one), a ``dt`` that is not
+    finite and positive, a ``z0`` that is not a finite vector of the
+    system's dimension, and observers of another dimension or with
+    clashing names.
     ``newton_iters`` counts the iterations of the solve that was accepted.
     Returns ``steps + 1`` records; a solver or linear-algebra error in a
     step raises :class:`StepFailure` carrying the partial trajectory, and
     one in the projection raises it for step 0 with the unprojected
     ``z0`` as the only record.
     """
-    if not isinstance(steps, numbers.Integral) or steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
     bound = _bind(target, scheme)
     d = target.dim

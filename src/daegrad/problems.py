@@ -235,7 +235,7 @@ def make_mixed_derivative(grid: int = 32) -> ProblemSpec:
     is the vanishing sinh sum, exposed as the invariant ``F``.  The initial
     profile is the sine wave of amplitude 0.5, projected onto the constraint.
     """
-    if not isinstance(grid, numbers.Integral) or grid < 3:
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 3:
         raise ValueError(f"grid must be an integer of at least 3, got {grid!r}")
     I = int(grid)
     dx = 2.0 * math.pi / I
