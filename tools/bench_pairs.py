@@ -28,8 +28,13 @@ nine tenths of all pairs run, and its median better than the parent's by
 more than the distance between the parent's quartiles), and per workload
 ``no_regression``, whether every ``worse_frac`` is within its bound,
 ``csv_identical``, whether both sides wrote the same CSV bytes in every
-pair, and each side's largest ``|V_err|`` and constraint norm; the
-traced records per workload and, in ``traced_counts``, every
+pair, and each side's largest ``|V_err|`` and constraint norm; in
+``runs_summary``, per workload and per run of it (``pendulum/gonzalez``
+and the like), the same ``csv_identical`` and accuracy figures for that
+run alone, kept apart from ``summary`` so that a dissipation figure such
+as ``friction/dg-midpoint``'s ``|V_err|`` does not hide another run's
+accuracy, and so that every dict value in ``summary[<workload>]`` stays a
+metric; the traced records per workload and, in ``traced_counts``, every
 per-layer metric of unit ``count`` from them as parent, change and ratio;
 and ``records``, the last stdout line of every run, to which ``runs``
 adds each run's CSV digest, failing step and accuracy from the full
@@ -129,11 +134,47 @@ def worse_frac(parent: float, change: float, better: str) -> float | None:
     return worse / abs(parent) if parent else None
 
 
-def _largest(records: list[dict], key: str) -> float | None:
-    """The largest ``key`` over every run of ``records``; None without one."""
+def _largest(records: list[dict], key: str, label: str | None = None) -> float | None:
+    """The largest ``key`` over every run of ``records``, or over the runs
+    named ``label`` only; None without one."""
     values = [run[key] for r in records for run in r["record"].get("runs") or ()
-              if run.get(key) is not None]
+              if run.get(key) is not None and label in (None, run.get("run"))]
     return max(values) if values else None
+
+
+def _complete_pairs(records: list[dict]) -> tuple[dict, list[dict]]:
+    """``records`` by pair and side, and the pairs in which both sides have
+    metrics."""
+    by_pair = {}
+    for r in records:
+        by_pair.setdefault(r["pair"], {})[r["side"]] = r["record"]
+    complete = [p for p in by_pair.values() if all("metrics" in p.get(s, {}) for s in SIDES)]
+    return by_pair, complete
+
+
+def summarize_runs(records: list[dict]) -> dict:
+    """Per run of one workload's untraced records, by its label:
+    ``csv_identical``, whether the change wrote the parent's CSV digest for
+    that run in every complete pair (None when no pair is complete or a
+    complete pair lacks the run on a side), and each side's largest
+    ``max_abs_V_err`` and ``max_constraint_norm`` over its runs of that
+    label."""
+    _, complete = _complete_pairs(records)
+    labels = dict.fromkeys(run.get("run") for r in records
+                           for run in r["record"].get("runs") or ())
+    out = {}
+    for label in labels:
+        digests = [[{run.get("run"): run.get("csv_sha256")
+                     for run in p[side].get("runs") or ()}.get(label) for side in SIDES]
+                   for p in complete]
+        known = complete and all(None not in d for d in digests)
+        entry = {"csv_identical": all(d[0] == d[1] for d in digests) if known else None}
+        for side in SIDES:
+            mine = [r for r in records if r["side"] == side]
+            for key in ("max_abs_V_err", "max_constraint_norm"):
+                entry[f"{side}_{key}"] = _largest(mine, key, label)
+        out[label] = entry
+    return out
 
 
 def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
@@ -146,10 +187,7 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
     complete pair (None when no pair is complete or a record has no
     ``runs``), and ``<side>_max_abs_V_err`` and
     ``<side>_max_constraint_norm`` are each side's largest over its runs."""
-    by_pair = {}
-    for r in records:
-        by_pair.setdefault(r["pair"], {})[r["side"]] = r["record"]
-    complete = [p for p in by_pair.values() if all("metrics" in p.get(s, {}) for s in SIDES)]
+    by_pair, complete = _complete_pairs(records)
     out = {}
     for metric in end_to_end if complete else ():
         name, better = metric["name"], metric["better"]
@@ -273,6 +311,10 @@ def main(argv=None) -> int:
         "summary": {
             w: summarize([r for r in records if r["workload"] == w and r["trace"] == 0],
                          spec["end_to_end"])
+            for w in args.workload
+        },
+        "runs_summary": {
+            w: summarize_runs([r for r in records if r["workload"] == w and r["trace"] == 0])
             for w in args.workload
         },
         "traced": traced_records,
