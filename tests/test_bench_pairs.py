@@ -226,3 +226,51 @@ def test_stub_checkouts_without_a_full_record_give_none(tmp_path):
     assert summary["csv_identical"] is None
     assert summary["parent_max_abs_V_err"] is None
     assert all(r["record"]["runs"] is None for r in result["records"])
+
+
+def test_runs_summary_reports_csv_identity_run_by_run():
+    records = _records([((1.0, 1.0), (0.9, 1.0))] * 3)
+    _with_runs(records, [["a", "b"]] * 5 + [["a", "c"]])  # pair 2's change side, run1
+    runs = bench_pairs.summarize_runs(records)
+    assert list(runs) == ["run0", "run1"]
+    assert runs["run0"]["csv_identical"] is True
+    assert runs["run1"]["csv_identical"] is False
+    assert bench_pairs.summarize(records, END_TO_END)["csv_identical"] is False
+
+
+def test_runs_summary_keeps_each_runs_accuracy_apart():
+    records = _records([((1.0, 1.0), (0.9, 1.0))] * 2)
+    # parent, change, parent, change; run1 is a dissipation figure near 1
+    _with_runs(records, [["a", "b"]] * 4,
+               [[1e-14, 0.99], [2e-14, 0.99], [3e-15, None], [5e-15, 0.98]])
+    runs = bench_pairs.summarize_runs(records)
+    assert runs["run0"]["parent_max_abs_V_err"] == 1e-14
+    assert runs["run0"]["change_max_abs_V_err"] == 2e-14
+    assert runs["run0"]["parent_max_constraint_norm"] == 2e-14
+    assert runs["run0"]["change_max_constraint_norm"] == 4e-14
+    assert runs["run1"]["change_max_abs_V_err"] == 0.99
+    # the workload's summary sees only the largest, run1's
+    assert bench_pairs.summarize(records, END_TO_END)["change_max_abs_V_err"] == 0.99
+
+
+def test_runs_summary_is_none_for_a_run_missing_from_a_complete_pair():
+    records = _records([((1.0, 1.0), (0.9, 1.0))] * 2)
+    _with_runs(records, [["a", "b"]] * 3 + [["a"]])  # pair 1's change side lacks run1
+    runs = bench_pairs.summarize_runs(records)
+    assert runs["run0"]["csv_identical"] is True
+    assert runs["run1"]["csv_identical"] is None
+    records = _with_runs(_records([((1.0, 1.0), (1.0, 1.0))]), [["a"], ["a"]])
+    records[1]["record"] = {"correct": False, "error": "timed out"}
+    assert bench_pairs.summarize_runs(records)["run0"]["csv_identical"] is None
+
+
+def test_runs_summary_is_written_beside_the_workload_summary(tmp_path):
+    parent = _checkout(tmp_path, "parent")
+    change = _checkout(tmp_path, "change")
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(_argv(parent, change, out)) == 0
+    result = json.loads(out.read_text())
+    assert result["runs_summary"] == {"small-systems": {}}  # stubs print no full record
+    # every dict in the workload's summary is still a metric
+    summary = result["summary"]["small-systems"]
+    assert all("meets_gain_rule" in v for v in summary.values() if isinstance(v, dict))

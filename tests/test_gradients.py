@@ -35,6 +35,7 @@ from daegrad.gradients import (
     quadratic_field,
     theta_coefficient,
 )
+from daegrad.problems import _pendulum_fields
 
 finite_coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -275,11 +276,12 @@ def test_scalar_field_rejects_unknown_hints(hint):
         (lambda: quadratic_field(np.eye(2), linear=[math.inf, 0.0]),
          "linear coefficients must be finite"),
         (lambda: linear_field([math.nan, 1.0]), "gamma coefficients must be finite"),
+        (lambda: cosh_sum_field(True), "dim must be positive"),
     ],
     ids=["zero-dim", "nonsquare-quadratic", "negative-curvature", "matrix-curvature",
          "scalar-curvature", "nan-curvature", "inf-curvature", "fractional-dim",
          "short-linear", "matrix-linear", "matrix-gamma", "inf-quadratic", "nan-quadratic",
-         "inf-linear", "nan-gamma"],
+         "inf-linear", "nan-gamma", "bool-dim"],
 )
 def test_field_constructors_reject_bad_input(build, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -513,6 +515,96 @@ def test_midpoint_exact_on_quadratics():
     for _ in range(10):
         z, zp = rng.normal(size=2), rng.normal(size=2)
         assert np.allclose(midpoint_gradient(V, z, zp), X @ (z + zp) / 2.0 + b, atol=1e-13)
+
+
+QUADRATIC_X = np.array([[2.0, -1.0, 0.5], [-1.0, 3.0, 0.25], [0.5, 0.25, 1.5]])
+QUADRATIC_B = np.array([1.0, -2.0, 0.5])
+
+
+def _quadratic_fields():
+    """Fields hinted quadratic: their midpoint gradient is ``grad V`` at the midpoint."""
+    H, g, _ = _pendulum_fields()
+    return {
+        "quadratic": quadratic_field(QUADRATIC_X, linear=QUADRATIC_B),
+        "linear": linear_field([0.5, -1.5, 2.0]),
+        "pendulum-H": H,
+        "pendulum-g": g,
+    }
+
+
+def _fields_with_a_correction():
+    """Fields not hinted quadratic, which keep the rank-one correction."""
+    _, _, V_aug = _pendulum_fields()
+    return {
+        "cosh-sum": cosh_sum_field(4),
+        "convex-quartic": convex_quartic_field([0.0, 1.0, 2.5]),
+        "pendulum-V-aug": V_aug,
+    }
+
+
+def _point_pairs(dim, seed):
+    """Distinct, near and coincident point pairs in ``dim`` dimensions."""
+    rng = np.random.default_rng(seed)
+    pairs = [(rng.normal(size=dim), rng.normal(size=dim)) for _ in range(8)]
+    z = rng.normal(size=dim)
+    pairs += [(z, z + 1e-9 * rng.normal(size=dim)), (z, z.copy()), (z, z + 1e-15)]
+    return pairs
+
+
+@pytest.mark.parametrize("name", list(_quadratic_fields()))
+def test_midpoint_of_a_quadratic_field_is_its_gradient_at_the_midpoint(name):
+    V = _quadratic_fields()[name]
+    for z, zp in _point_pairs(V.dim, seed=V.dim):
+        got = midpoint_gradient(V, z, zp)
+        assert np.array_equal(got, gradients._gradient(V, 0.5 * (z + zp)))
+
+
+@pytest.mark.parametrize("name", list(_quadratic_fields()))
+def test_midpoint_of_a_quadratic_field_calls_no_value(name):
+    field, calls = _quadratic_fields()[name], []
+    V = replace(field, value=lambda u: calls.append(1) or field.value(u))
+    for z, zp in _point_pairs(V.dim, seed=V.dim):
+        midpoint_gradient(V, z, zp)
+    assert calls == []
+
+
+def test_midpoint_of_a_quadratic_field_stays_exact_near_coincidence():
+    # the correction (V(z) - V(z') - <grad V(m), d>) / |d|^2 is zero in exact
+    # arithmetic, but evaluated it is round-off of size eps |V| / |d|, about
+    # 5e-4 at |d| = 1e-12 on this field; the exact X m + b is formed in fractions
+    V = _quadratic_fields()["quadratic"]
+    z, u = np.array([0.7, -1.3, 2.1]), np.array([0.6, 0.0, -0.8])
+    X = [[Fraction(x) for x in row] for row in QUADRATIC_X]
+    for k in range(2, 13):
+        zp = z + 10.0**-k * u
+        m = [(Fraction(a) + Fraction(c)) / 2 for a, c in zip(z, zp)]
+        exact = np.array([float(sum(x * mj for x, mj in zip(row, m)) + Fraction(bi))
+                          for row, bi in zip(X, QUADRATIC_B)])
+        mid = 0.5 * (z + zp)
+        scale = float((np.abs(QUADRATIC_X) @ np.abs(mid) + np.abs(QUADRATIC_B)).max())
+        error = float(np.abs(midpoint_gradient(V, z, zp) - exact).max())
+        assert error <= 8 * np.finfo(float).eps * scale, (k, error)
+
+
+def corrected_midpoint_gradient(V, z, zp):
+    """Reference: the midpoint gradient with the rank-one chain-rule
+    correction, as every field not hinted quadratic takes it."""
+    z, zp = np.asarray(z, dtype=float), np.asarray(zp, dtype=float)
+    delta = z - zp
+    dd = float(delta @ delta)
+    if gradients._coincide(z, dd):
+        return gradients._gradient(V, z).copy()
+    g = gradients._gradient(V, 0.5 * (z + zp))
+    corr = (V.value(z) - V.value(zp) - float(g @ delta)) / dd
+    return g + corr * delta
+
+
+@pytest.mark.parametrize("name", list(_fields_with_a_correction()))
+def test_midpoint_of_a_field_not_hinted_quadratic_keeps_the_correction(name):
+    V = _fields_with_a_correction()[name]
+    for z, zp in _point_pairs(V.dim, seed=V.dim):
+        got = midpoint_gradient(V, z, zp)
+        assert np.array_equal(got, corrected_midpoint_gradient(V, z, zp))
 
 
 @settings(max_examples=50, deadline=None)

@@ -181,7 +181,7 @@ def test_newton_config_validation():
     for tol in (math.nan, math.inf, -1e-12):
         with pytest.raises(ValueError, match="residual_tol must be finite and positive"):
             NewtonConfig(residual_tol=tol)
-    for iters in (2.5, 3.0, "5"):
+    for iters in (2.5, 3.0, "5", True):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             NewtonConfig(max_iters=iters)
     assert NewtonConfig(max_iters=np.int64(3)).max_iters == 3
@@ -515,11 +515,25 @@ def test_friction_gonzalez_dissipates_on_the_constraint():
     traj = integrate(spec.dae, "gonzalez", spec.default_initial_state, 0.1, 500,
                      observers=spec.observers)
     assert len(traj) == 501
-    assert np.diff(traj.invariant_series("H")).max() <= 0.0
+    assert sum(r.newton_iters for r in traj.records) == 1485
+    assert np.diff(traj.invariant_series("H")).max() < 0.0  # H falls at every step
     assert max(r.constraint_residual_norm for r in traj.records) <= 1e-12
     lam = traj.states()[:, 4]
     lam_bar = 0.5 * (lam[1:] + lam[:-1])  # the scheme fixes only the average
     assert lam_bar.min() >= 0.0 and lam_bar.max() <= 3.0
+
+
+def test_pendulum_gonzalez_run_conserves_at_round_off():
+    # H and g are hinted quadratic, so their midpoint gradients carry no
+    # correction; V and H stay at round-off and Newton takes 3 iterations a step
+    spec = make_problem("pendulum")
+    traj = integrate(spec.dae, "gonzalez", spec.default_initial_state, 0.1, 500,
+                     observers=spec.observers)
+    assert sum(r.newton_iters for r in traj.records) == 1500
+    for name in ("V", "H"):
+        series = traj.invariant_series(name)
+        assert np.abs(series - series[0]).max() <= 1e-13, name
+    assert max(r.constraint_residual_norm for r in traj.records) <= 1e-13
 
 
 def test_friction_gonzalez_is_second_order():
@@ -789,7 +803,7 @@ def test_integrate_validates_arguments():
     assert len(integrate(spec.dae, "implicit-euler", z0, 0.1, np.int64(2))) == 3
 
 
-@pytest.mark.parametrize("steps", [2.5, "3", 0, -1])
+@pytest.mark.parametrize("steps", [2.5, "3", 0, -1, True])
 def test_integrate_refuses_a_step_count_that_is_not_a_positive_integer(steps, monkeypatch):
     spec = make_problem("sinh-gordon", grid=8)
     solves = []

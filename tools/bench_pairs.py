@@ -162,11 +162,11 @@ def summarize_runs(records: list[dict]) -> dict:
     _, complete = _complete_pairs(records)
     labels = dict.fromkeys(run.get("run") for r in records
                            for run in r["record"].get("runs") or ())
+    by_label = [[{run.get("run"): run.get("csv_sha256") for run in p[side].get("runs") or ()}
+                 for side in SIDES] for p in complete]
     out = {}
     for label in labels:
-        digests = [[{run.get("run"): run.get("csv_sha256")
-                     for run in p[side].get("runs") or ()}.get(label) for side in SIDES]
-                   for p in complete]
+        digests = [[side.get(label) for side in pair] for pair in by_label]
         known = complete and all(None not in d for d in digests)
         entry = {"csv_identical": all(d[0] == d[1] for d in digests) if known else None}
         for side in SIDES:
