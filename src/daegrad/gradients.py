@@ -27,10 +27,14 @@ one-sided divergence ``V(z) - V(z') - <grad V(z'), z - z'>`` to the
 two-sided curvature term ``<grad V(z) - grad V(z'), z - z'>``; the two
 one-sided divergences sum to the curvature term, so the coefficients for
 ``(z, z')`` and ``(z', z)`` always sum to one.  A field's ``divergence``
-routine returns both one-sided divergences from one evaluation, so each
-coefficient pair costs one call.  For quadratic fields the coefficient is
-exactly one half and the construction coincides with the average vector
-field.
+routine, prepared at ``z'``, returns both one-sided divergences from one
+evaluation, so each coefficient pair costs one call.  For quadratic fields
+the coefficient is exactly one half and the construction coincides with
+the average vector field.
+
+An integrator step prepares its fixed ``z'`` once, evaluating what depends
+on ``z'`` alone, and then each ``gbar(z, z')`` evaluates ``grad V(z)`` once;
+the public functions are one-shot uses of the same code.
 
 The policy is fixed: none of the constructions takes a tuning parameter.
 """
@@ -89,12 +93,14 @@ class ScalarField:
     gradient call per node, because its gradient need not accept a stack
     of points: ``X @ z`` of a quadratic field does not map rows.
 
-    ``divergence(z, z0)`` optionally evaluates both one-sided divergences
+    ``divergence`` optionally evaluates both one-sided divergences
 
         D(z, z0) = V(z) - V(z0) - <grad V(z0), z - z0>
 
-    and ``D(z0, z)`` in a cancellation-free way, and returns them as the
-    pair ``(D(z, z0), D(z0, z))``.  Supplying it makes the interior-division
+    and ``D(z0, z)`` in a cancellation-free way.  It is base first:
+    ``divergence(z0)`` does the work that depends on ``z0`` alone and
+    returns the map ``z -> (D(z, z0), D(z0, z))``, which a step calls at
+    many ``z``.  Supplying it makes the interior-division
     coefficient accurate arbitrarily close to coincidence, where the naive
     three-term formula loses all significant digits.
     """
@@ -103,7 +109,7 @@ class ScalarField:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hint: str = "general"
-    divergence: Callable[[np.ndarray, np.ndarray], tuple[float, float]] | None = None
+    divergence: Callable[[np.ndarray], Callable[[np.ndarray], tuple[float, float]]] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -130,10 +136,15 @@ def quadratic_field(X, linear=None, name: str = "") -> ScalarField:
     if not np.all(np.isfinite(b)):
         raise ValueError("linear coefficients must be finite")
 
-    def divergence(z, z0):
-        h = np.asarray(z, dtype=float) - np.asarray(z0, dtype=float)
-        v = 0.5 * float(h @ (X @ h))
-        return v, v
+    def divergence(z0):
+        z0 = np.asarray(z0, dtype=float)
+
+        def pair(z):
+            h = np.asarray(z, dtype=float) - z0
+            v = 0.5 * float(h @ (X @ h))
+            return v, v
+
+        return pair
 
     return ScalarField(
         dim=X.shape[0],
@@ -158,7 +169,7 @@ def linear_field(gamma, name: str = "") -> ScalarField:
         value=lambda z: float(g @ z),
         gradient=lambda z: g.copy(),
         hint="quadratic",
-        divergence=lambda z, z0: (0.0, 0.0),
+        divergence=lambda z0: lambda z: (0.0, 0.0),
         name=name,
     )
 
@@ -180,7 +191,7 @@ def _sinh_minus_identity(h: np.ndarray) -> np.ndarray:
         series += c
     series *= h * h2
     small = np.abs(h) <= 0.5
-    if small.all():
+    if np.logical_and.reduce(small):
         return series
     return np.where(small, series, np.sinh(h) - h)
 
@@ -190,20 +201,26 @@ def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
 
     ``D(z, z0)`` sums ``cosh(z0) 2 s^2 + sinh(z0) phi`` and ``D(z0, z)`` sums
     ``cosh(z) 2 s^2 - sinh(z) phi``, with ``h = z - z0``, ``s = sinh(h/2)`` and
-    ``phi = sinh(h) - h`` computed once on whole arrays for both.  ``sinh`` and
-    the kernel are odd, so each entry is bitwise what the one-sided formula
-    gives on its own.  A Horner series for small ``h`` keeps ``phi``, and so
-    the divergences, accurate near coincidence.
+    ``phi = sinh(h) - h`` computed once on whole arrays for both; the base
+    terms ``2 cosh(z0)`` and ``sinh(z0)`` once per prepared ``z0``.  ``sinh``
+    and the kernel are odd, so each entry is bitwise what the one-sided
+    formula gives on its own.  A Horner series for small ``h`` keeps ``phi``,
+    and so the divergences, accurate near coincidence.
     """
 
-    def divergence(z, z0):
-        z = np.asarray(z, dtype=float)
+    def divergence(z0):
         z0 = np.asarray(z0, dtype=float)
-        h = z - z0
-        s = np.sinh(0.5 * h)
-        phi = _sinh_minus_identity(h)
-        return (float((np.cosh(z0) * 2.0 * s * s + np.sinh(z0) * phi).sum()),
-                float((np.cosh(z) * 2.0 * s * s - np.sinh(z) * phi).sum()))
+        c0, s0 = np.cosh(z0) * 2.0, np.sinh(z0)
+
+        def pair(z):
+            z = np.asarray(z, dtype=float)
+            h = z - z0
+            s = np.sinh(0.5 * h)
+            phi = _sinh_minus_identity(h)
+            return (float(np.add.reduce(c0 * s * s + s0 * phi)),
+                    float(np.add.reduce(np.cosh(z) * 2.0 * s * s - np.sinh(z) * phi)))
+
+        return pair
 
     return ScalarField(
         dim=dim,
@@ -234,13 +251,20 @@ def convex_quartic_field(curvature, name: str = "") -> ScalarField:
     if np.any(c < 0):
         raise ValueError("curvature coefficients must be nonnegative")
 
-    def divergence(z, z0):
-        b = np.asarray(z, dtype=float)
+    half_c = c / 2.0
+
+    def divergence(z0):
         a = np.asarray(z0, dtype=float)
-        h = b - a
-        hh = h * h
-        return (float((hh * ((6.0 * a * a + 4.0 * a * h + hh) / 4.0 + c / 2.0)).sum()),
-                float((hh * ((6.0 * b * b - 4.0 * b * h + hh) / 4.0 + c / 2.0)).sum()))
+        a6, a4 = 6.0 * a * a, 4.0 * a
+
+        def pair(z):
+            b = np.asarray(z, dtype=float)
+            h = b - a
+            hh = h * h
+            return (float(np.add.reduce(hh * ((a6 + a4 * h + hh) / 4.0 + half_c))),
+                    float(np.add.reduce(hh * ((6.0 * b * b - 4.0 * b * h + hh) / 4.0 + half_c))))
+
+        return pair
 
     return ScalarField(
         dim=c.shape[0],
@@ -275,14 +299,11 @@ def _coincide(z: np.ndarray, dd: float) -> bool:
     return math.sqrt(dd) <= COINCIDENCE_RTOL * max(1.0, math.sqrt(float(z @ z)))
 
 
-def _as_pair(V: ScalarField, z, zp) -> tuple[np.ndarray, np.ndarray]:
+def _point(V: ScalarField, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    zp = np.asarray(zp, dtype=float)
-    if z.shape != (V.dim,) or zp.shape != (V.dim,):
-        raise ValueError(
-            f"points must have shape ({V.dim},), got {z.shape} and {zp.shape}"
-        )
-    return z, zp
+    if z.shape != (V.dim,):
+        raise ValueError(f"points must have shape ({V.dim},), got {z.shape}")
+    return z
 
 
 def _gradient(V: ScalarField, z) -> np.ndarray:
@@ -300,6 +321,101 @@ def _avf_rule() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
+class _PreparedBase:
+    """The discrete gradient of variant ``kind`` of ``V`` about a fixed ``zp``.
+
+    What depends on ``zp`` alone is evaluated once, here: the shape check,
+    for ``"proper"`` ``grad V(zp)`` (a copy, since a gradient may reuse one
+    buffer) and ``V.divergence(zp)``, and ``V(zp)`` where a formula needs it
+    (a proper gradient with a divergence reads it only on a fallback).
+    Calling the base at ``z`` returns ``(gbar(z, zp), fell_back)``; a proper
+    gradient leaves ``grad V(z)``, evaluated once per call, in ``grad``.
+    """
+
+    __slots__ = ("variant", "V", "zp", "gp", "vp", "divergence", "grad")
+
+    def __init__(self, kind: DiscreteGradientKind, V: ScalarField, zp):
+        self.variant, self.V, self.zp = kind.variant, V, _point(V, zp)
+        self.gp = self.vp = self.divergence = self.grad = None
+        curved = V.hint != "quadratic"
+        if self.variant == "proper":
+            self.gp = _gradient(V, self.zp).copy()
+            if curved and V.divergence is not None:
+                self.divergence = V.divergence(self.zp)
+        if curved and self.variant != "avf" and self.divergence is None:
+            self.vp = V.value(self.zp)
+
+    def __call__(self, z) -> tuple[np.ndarray, bool]:
+        V, zp = self.V, self.zp
+        z = _point(V, z)
+        if self.variant == "avf":
+            return self._avf(z), False
+        if self.variant == "midpoint" and V.hint == "quadratic":
+            return _gradient(V, 0.5 * (z + zp)).copy(), False
+        delta = z - zp
+        dd = float(delta @ delta)
+        if self.variant == "midpoint":
+            if _coincide(z, dd):
+                return _gradient(V, z).copy(), False
+            return self._corrected_midpoint(z, delta, dd), False
+        g = self.grad = _gradient(V, z)
+        if _coincide(z, dd):
+            return g.copy(), False
+        try:
+            t1, t2 = self._theta_pair(z, g, delta, dd)
+        except DegenerateDenominator:
+            self.grad = g.copy()  # the midpoint gradient may reuse its buffer
+            return self._corrected_midpoint(z, delta, dd), True
+        return t1 * g + t2 * self.gp, False
+
+    def _avf(self, z):
+        V, zp = self.V, self.zp
+        if np.logical_and.reduce(z == zp):
+            return _gradient(V, z).copy()
+        nodes, weights = _avf_rule()
+        points = zp + nodes[:, None] * (z - zp)
+        if V.hint == "separable":
+            grads = np.asarray(V.gradient(points), dtype=float)
+            if grads.shape != points.shape:
+                raise ValueError(
+                    f"field {V.name or '<unnamed>'} is hinted 'separable', but its gradient "
+                    f"mapped points of shape {points.shape} to shape {grads.shape}"
+                )
+        else:
+            grads = np.empty_like(points)
+            for i, point in enumerate(points):
+                grads[i] = _gradient(V, point)
+        return weights @ grads
+
+    def _corrected_midpoint(self, z, delta, dd):
+        """``grad V`` at the midpoint plus the rank-one chain-rule correction."""
+        g = _gradient(self.V, 0.5 * (z + self.zp))
+        if self.vp is None:
+            self.vp = self.V.value(self.zp)
+        return g + (self.V.value(z) - self.vp - float(g @ delta)) / dd * delta
+
+    def _theta_pair(self, z, g, delta, dd) -> tuple[float, float]:
+        """``theta(z, zp)`` and ``theta(zp, z)`` with ``g = grad V(z)``, from the
+        prepared divergence or else the three-term formulas, which share one
+        curvature evaluation."""
+        if self.V.hint == "quadratic":
+            return 0.5, 0.5
+        if self.divergence is not None:
+            d1, d2 = map(float, self.divergence(z))
+        else:
+            d1 = self.V.value(z) - self.vp - float(self.gp @ delta)
+            d2 = float((g - self.gp) @ delta) - d1
+        den = d1 + d2
+        if abs(den) <= _DENOMINATOR_TOL * dd:
+            raise DegenerateDenominator(
+                f"curvature term {den:.3e} below tolerance for |z - z'|^2 = {dd:.3e}"
+            )
+        return d1 / den, d2 / den
+
+
+_AVF, _MIDPOINT, _PROPER = map(DiscreteGradientKind, ("avf", "midpoint", "proper"))
+
+
 def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
     """Average of ``grad V`` over the segment from ``zp`` to ``z``.
 
@@ -314,23 +430,7 @@ def avf_gradient(V: ScalarField, z, zp) -> np.ndarray:
     The midpoint and proper gradients read it the same way, and at
     coincident points all three return a copy of ``grad V(z)``.
     """
-    z, zp = _as_pair(V, z, zp)
-    if (z == zp).all():
-        return _gradient(V, z).copy()
-    nodes, weights = _avf_rule()
-    points = zp + nodes[:, None] * (z - zp)
-    if V.hint == "separable":
-        grads = np.asarray(V.gradient(points), dtype=float)
-        if grads.shape != points.shape:
-            raise ValueError(
-                f"field {V.name or '<unnamed>'} is hinted 'separable', but its gradient "
-                f"mapped points of shape {points.shape} to shape {grads.shape}"
-            )
-    else:
-        grads = np.empty_like(points)
-        for i, point in enumerate(points):
-            grads[i] = _gradient(V, point)
-    return weights @ grads
+    return _PreparedBase(_AVF, V, zp)(z)[0]
 
 
 def midpoint_gradient(V: ScalarField, z, zp) -> np.ndarray:
@@ -341,46 +441,7 @@ def midpoint_gradient(V: ScalarField, z, zp) -> np.ndarray:
     ``m``, the correction vanishes, and a copy of ``grad V(m)`` is returned
     without a ``value`` call; coincident points are no exception.
     """
-    z, zp = _as_pair(V, z, zp)
-    if V.hint == "quadratic":
-        return _gradient(V, 0.5 * (z + zp)).copy()
-    delta = z - zp
-    dd = float(delta @ delta)
-    if _coincide(z, dd):
-        return _gradient(V, z).copy()
-    g = _gradient(V, 0.5 * (z + zp))
-    corr = (V.value(z) - V.value(zp) - float(g @ delta)) / dd
-    return g + corr * delta
-
-
-def _divergence_pair(V: ScalarField, z, zp, delta) -> tuple[float, float]:
-    """One-sided divergences ``D(z, zp)`` and ``D(zp, z)``, with ``delta = z - zp``.
-
-    Uses the field's stable evaluator, which returns both, when available;
-    otherwise the direct three-term formulas sharing a single curvature
-    evaluation.  ``grad V(zp)`` is copied before ``grad V(z)`` is evaluated,
-    so a gradient that reuses one buffer does not cancel the curvature term.
-    """
-    if V.divergence is not None:
-        d1, d2 = V.divergence(z, zp)
-        return float(d1), float(d2)
-    gp = _gradient(V, zp).copy()
-    d1 = V.value(z) - V.value(zp) - float(gp @ delta)
-    den = float((_gradient(V, z) - gp) @ delta)
-    return d1, den - d1
-
-
-def _theta_pair(V: ScalarField, z, zp, delta, dd) -> tuple[float, float]:
-    """``theta(z, zp)`` and ``theta(zp, z)``; ``delta = z - zp`` and ``dd = |delta|^2``."""
-    if V.hint == "quadratic":
-        return 0.5, 0.5
-    d1, d2 = _divergence_pair(V, z, zp, delta)
-    den = d1 + d2
-    if abs(den) <= _DENOMINATOR_TOL * dd:
-        raise DegenerateDenominator(
-            f"curvature term {den:.3e} below tolerance for |z - z'|^2 = {dd:.3e}"
-        )
-    return d1 / den, d2 / den
+    return _PreparedBase(_MIDPOINT, V, zp)(z)[0]
 
 
 def theta_coefficient(V: ScalarField, z, zp) -> float:
@@ -390,12 +451,13 @@ def theta_coefficient(V: ScalarField, z, zp) -> float:
     with an affine gradient; raises :class:`DegenerateDenominator` when the
     curvature term is too small relative to ``||z - z'||^2``.
     """
-    z, zp = _as_pair(V, z, zp)
-    delta = z - zp
+    base = _PreparedBase(_PROPER, V, zp)
+    z = _point(V, z)
+    delta = z - base.zp
     dd = float(delta @ delta)
     if _coincide(z, dd):
         raise ValueError("theta_coefficient requires distinct points")
-    return _theta_pair(V, z, zp, delta, dd)[0]
+    return base._theta_pair(z, _gradient(V, z), delta, dd)[0]
 
 
 def proper_gradient(V: ScalarField, z, zp) -> np.ndarray:
@@ -406,27 +468,22 @@ def proper_gradient(V: ScalarField, z, zp) -> np.ndarray:
     instead; use :func:`discrete_gradient_info` to observe which branch was
     taken.
     """
-    return discrete_gradient_info(DiscreteGradientKind("proper"), V, z, zp)[0]
+    return _PreparedBase(_PROPER, V, zp)(z)[0]
 
 
 def discrete_gradient_info(
     kind: DiscreteGradientKind, V: ScalarField, z, zp
 ) -> tuple[np.ndarray, bool]:
-    """Evaluate the selected discrete gradient; flags midpoint fallbacks."""
-    if kind.variant == "avf":
-        return avf_gradient(V, z, zp), False
-    if kind.variant == "midpoint":
-        return midpoint_gradient(V, z, zp), False
-    z, zp = _as_pair(V, z, zp)
-    delta = z - zp
-    dd = float(delta @ delta)
-    if _coincide(z, dd):
-        return _gradient(V, z).copy(), False
-    try:
-        t1, t2 = _theta_pair(V, z, zp, delta, dd)
-    except DegenerateDenominator:
-        return midpoint_gradient(V, z, zp), True
-    return t1 * _gradient(V, z) + t2 * _gradient(V, zp), False
+    """Evaluate the selected discrete gradient; flags midpoint fallbacks.
+
+    ``zp`` is the base point, or a :class:`_PreparedBase` of the same
+    ``kind`` and ``V`` that a step prepared at its base point once.
+    """
+    if not isinstance(zp, _PreparedBase):
+        return _PreparedBase(kind, V, zp)(z)
+    if zp.V is not V or zp.variant != kind.variant:
+        raise ValueError("the prepared base belongs to another field or discrete gradient")
+    return zp(z)
 
 
 def chain_rule_residual(kind: DiscreteGradientKind, V: ScalarField, z, zp) -> float:

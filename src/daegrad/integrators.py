@@ -49,7 +49,7 @@ from .errors import (
 from .gradients import (
     DiscreteGradientKind,
     ScalarField,
-    _gradient,
+    _PreparedBase,
     discrete_gradient_info,
     midpoint_gradient,
 )
@@ -113,7 +113,7 @@ def _fd_jacobian(residual, w, r0):
     which rounds every entry as a per-column difference would.  Returns the
     transposed view, an F-ordered ``(len(r0), len(w))`` array.
     """
-    h = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(w))))
+    h = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.maximum.reduce(np.abs(w))))
     rows = np.empty((w.shape[0], r0.shape[0]))
     for j in range(w.shape[0]):
         wj = w.copy()
@@ -138,12 +138,15 @@ def newton_solve(
     Full steps that increase the residual norm are halved up to 20 times;
     if no halving helps, or ``max_iters`` is exhausted, or the step stagnates
     below a relative ``1e-14`` without meeting the tolerance, raises
-    :class:`NoConvergence`.  A Jacobian that cannot be solved raises
-    :class:`SingularJacobian`.
+    :class:`NoConvergence`; so does a residual that is not finite at ``w0``,
+    at once (a non-finite trial point is halved like any other).  A Jacobian
+    that cannot be solved raises :class:`SingularJacobian`.
     """
     w = np.asarray(w0, dtype=float).copy()
     r = np.asarray(residual(w), dtype=float)
-    rnorm = float(np.max(np.abs(r))) if r.size else 0.0
+    rnorm = float(np.maximum.reduce(np.abs(r))) if r.size else 0.0
+    if not math.isfinite(rnorm):
+        raise NoConvergence(0, rnorm, "residual is not finite")
     if rnorm <= cfg.residual_tol:
         return NewtonResult(w, 0, rnorm)
     for it in range(1, cfg.max_iters + 1):
@@ -159,17 +162,17 @@ def newton_solve(
         for _ in range(_MAX_HALVINGS + 1):
             w_new = w + scale * delta
             r_new = np.asarray(residual(w_new), dtype=float)
-            rnorm_new = float(np.abs(r_new).max())
+            rnorm_new = float(np.maximum.reduce(np.abs(r_new)))
             if rnorm_new <= cfg.residual_tol or rnorm_new < rnorm:
                 break
             scale *= 0.5
         else:
             raise NoConvergence(it, rnorm, "damping failed to reduce the residual")
-        step_size = scale * float(np.max(np.abs(delta)))
+        step_size = scale * float(np.maximum.reduce(np.abs(delta)))
         w, r, rnorm = w_new, r_new, rnorm_new
         if rnorm <= cfg.residual_tol:
             return NewtonResult(w, it, rnorm)
-        if step_size <= _STEP_TOL * (1.0 + float(np.max(np.abs(w)))):
+        if step_size <= _STEP_TOL * (1.0 + float(np.maximum.reduce(np.abs(w)))):
             raise NoConvergence(it, rnorm, "step stagnated")
     raise NoConvergence(cfg.max_iters, rnorm)
 
@@ -227,6 +230,9 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     block lands every step exactly on the constraint manifold; the
     redundant force ``c`` is zero in exact arithmetic, and its computed
     size is a solver diagnostic.  ``gonzalez`` uses :func:`_augmented_gradient`.
+    Every other scheme prepares its discrete gradient at ``z0`` once per
+    step, and the constraint block reads the ``grad V(z1)`` that the
+    interior-division gradient evaluated.
     """
     if not isinstance(dae, LinearGradientDAE):
         raise ValueError(f"scheme {scheme!r} needs a linear-gradient system")
@@ -238,12 +244,15 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     else:
         kind = DiscreteGradientKind("proper" if index1 else scheme.removeprefix("dg-"))
 
-        def gradient_from(z):
-            return lambda zp: discrete_gradient_info(kind, V, zp, z)[0]
-
     def build(z, dt):
         S0 = dae.S(z)
-        gradient = gradient_from(z)
+        if kind is None:
+            gradient = gradient_from(z)
+        else:
+            base = _PreparedBase(kind, V, z)
+
+            def gradient(zp):
+                return discrete_gradient_info(kind, V, zp, base)[0]
 
         def residual(w):
             zp = w[:d]
@@ -254,7 +263,7 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             dyn = A @ (zp - z) / dt - Sg
             if not index1:
                 return dyn
-            constraint = B.T @ (S1 @ _gradient(V, zp))
+            constraint = B.T @ (S1 @ base.grad)
             return np.concatenate([dyn - B @ w[d:], constraint])
 
         return residual

@@ -102,10 +102,11 @@ def test_gain_rule_is_judged_per_metric():
     assert summary["accepted_frac"]["meets_gain_rule"] is False  # ties everywhere
 
 
-def _checkout(root, name):
+def _checkout(root, name, full=None):
     """A directory holding a stub ``benchmarks/run.py`` that records each of
     its runs in ``ran`` and prints a correct record with every end-to-end
-    metric of ``BENCHMARK.json`` at 1."""
+    metric of ``BENCHMARK.json`` at 1, after the dict ``full`` as the full
+    record when given."""
     checkout = root / name
     (checkout / "benchmarks").mkdir(parents=True)
     spec = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
@@ -114,7 +115,8 @@ def _checkout(root, name):
         "import json, pathlib\n"
         "with open(pathlib.Path(__file__).parent / 'ran', 'a') as f:\n"
         "    f.write('run\\n')\n"
-        f"print(json.dumps({{'correct': True, 'metrics': {metrics!r}}}))\n"
+        + ("" if full is None else f"print(json.dumps({full!r}, indent=1))\n")
+        + f"print(json.dumps({{'correct': True, 'metrics': {metrics!r}}}))\n"
     )
     return checkout
 
@@ -274,3 +276,29 @@ def test_runs_summary_is_written_beside_the_workload_summary(tmp_path):
     # every dict in the workload's summary is still a metric
     summary = result["summary"]["small-systems"]
     assert all("meets_gain_rule" in v for v in summary.values() if isinstance(v, dict))
+
+
+def test_host_figures_keep_the_unscaled_medians_and_the_median_speed_factor():
+    unscaled = {"ms_per_step": 9.25, "steps_per_s": 104.0, "setup_s": 0.0152}
+    full = {"workload": "w", "speed_factors": [2.4, 2.6, 2.5, 2.9], "unscaled": unscaled}
+    lines = ["progress", *json.dumps(full, indent=1).splitlines(), json.dumps({"correct": True})]
+    assert bench_pairs.host_figures(lines) == {"unscaled": unscaled, "speed_factor_median": 2.55}
+    # a traced run's full record has no speed factors
+    full["speed_factors"] = []
+    lines = [*json.dumps(full, indent=1).splitlines(), json.dumps({"correct": True})]
+    assert bench_pairs.host_figures(lines)["speed_factor_median"] is None
+    empty = {"unscaled": None, "speed_factor_median": None}
+    assert bench_pairs.host_figures([json.dumps({"correct": True})]) == empty
+
+
+def test_each_record_carries_its_runs_unscaled_medians_and_speed_factor(tmp_path):
+    full = {"speed_factors": [2.0, 3.0], "unscaled": {"ms_per_step": 9.5}}
+    parent = _checkout(tmp_path, "parent", full)
+    change = _checkout(tmp_path, "change")
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(_argv(parent, change, out)) == 0
+    records = {r["side"]: r["record"] for r in json.loads(out.read_text())["records"]}
+    assert records["parent"]["unscaled"] == {"ms_per_step": 9.5}
+    assert records["parent"]["speed_factor_median"] == 2.5
+    assert records["change"]["unscaled"] is None  # the stub prints no full record
+    assert records["change"]["speed_factor_median"] is None

@@ -73,6 +73,27 @@ def test_newton_max_iters_exhausted():
     assert info.value.iters == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_newton_fails_at_once_on_a_start_point_that_is_not_finite(bad):
+    calls = []
+    with pytest.raises(NoConvergence, match="residual is not finite") as info:
+        newton_solve(_recorded(lambda w: np.array([bad, 0.0]), calls), np.zeros(2))
+    assert info.value.iters == 0
+    assert len(calls) == 1
+
+
+def test_newton_halves_a_trial_point_that_is_not_finite():
+    # the full step from 2.9 lands at -8.8, where the residual is inf
+    calls = []
+
+    def residual(w):
+        return np.array([math.atan(w[0]) if abs(w[0]) <= 3.0 else math.inf])
+
+    sol = newton_solve(_recorded(residual, calls), np.array([2.9]))
+    assert sol.iters == 3 and sol.residual_norm <= 1e-12
+    assert any(abs(w[0]) > 3.0 for w in calls)
+
+
 def test_newton_singular_jacobian():
     def residual(w):
         r = w[0] + w[1] - 1.0
@@ -279,7 +300,7 @@ def test_cosh_divergence_pair_is_bitwise_two_one_sided_calls():
     for scale in (1e-9, 1e-3, 0.3, 0.5, 1.5):
         z0 = rng.uniform(-3.0, 3.0, size=16)
         z = z0 + scale * rng.uniform(-1.0, 1.0, size=16)
-        assert V.divergence(z, z0) == (one_sided_cosh_divergence(z, z0),
+        assert V.divergence(z0)(z) == (one_sided_cosh_divergence(z, z0),
                                        one_sided_cosh_divergence(z0, z))
 
 
@@ -290,8 +311,8 @@ def test_sinh_gordon_run_is_unchanged_by_the_paired_divergence(scheme):
     spec = make_problem("sinh-gordon", grid=16)
     reference = replace(spec.dae, V=replace(
         spec.dae.V,
-        divergence=lambda z, z0: (one_sided_cosh_divergence(z, z0),
-                                  one_sided_cosh_divergence(z0, z)),
+        divergence=lambda z0: lambda z: (one_sided_cosh_divergence(z, z0),
+                                         one_sided_cosh_divergence(z0, z)),
     ))
     runs = [integrate(dae, scheme, spec.default_initial_state, 0.1, 10, observers=spec.observers)
             for dae in (spec.dae, reference)]

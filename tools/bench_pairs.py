@@ -38,7 +38,11 @@ metric; the traced records per workload and, in ``traced_counts``, every
 per-layer metric of unit ``count`` from them as parent, change and ratio;
 and ``records``, the last stdout line of every run, to which ``runs``
 adds each run's CSV digest, failing step and accuracy from the full
-record before it.  A run that outlasts
+record before it, ``unscaled`` that record's medians before the host-speed
+scaling, and ``speed_factor_median`` the median of its ``speed_factors``,
+so that a shift of the host's speed can be told from the library's own
+time (None each without a full record, or for a traced run, which has no
+speed factors).  A run that outlasts
 ``RUN_TIMEOUT_FLOOR_S + RUN_TIMEOUT_FACTOR * --seconds`` is stopped and
 recorded as ``"correct": false`` with the error ``"timed out"``.  The
 script exits with status 1 if a run failed or reported ``"correct":
@@ -79,20 +83,37 @@ def label(checkout: Path) -> str:
 RUN_FIELDS = ("run", "csv_sha256", "failed_at_step", "max_abs_V_err", "max_constraint_norm")
 
 
-def run_summaries(lines: list[str]) -> list[dict] | None:
-    """``RUN_FIELDS`` of each run in the full record, which ``benchmarks/run.py``
-    prints as indented JSON from a line ``{`` up to the line before the last;
-    None when there is no such record."""
+def full_record(lines: list[str]) -> dict:
+    """The full record, which ``benchmarks/run.py`` prints as indented JSON
+    from a line ``{`` up to the line before the last; empty when there is
+    no such record."""
     starts = [i for i, line in enumerate(lines[:-1]) if line == "{"]
     if not starts:
-        return None
+        return {}
     try:
-        runs = json.loads("\n".join(lines[starts[-1]:-1])).get("runs")
+        record = json.loads("\n".join(lines[starts[-1]:-1]))
     except json.JSONDecodeError:
-        return None
+        return {}
+    return record if isinstance(record, dict) else {}
+
+
+def run_summaries(lines: list[str]) -> list[dict] | None:
+    """``RUN_FIELDS`` of each run in the full record; None without one."""
+    runs = full_record(lines).get("runs")
     if not isinstance(runs, list):
         return None
     return [{key: run.get(key) for key in RUN_FIELDS} for run in runs]
+
+
+def host_figures(lines: list[str]) -> dict:
+    """``unscaled`` of the full record and ``speed_factor_median``, the
+    median of its ``speed_factors``; None for either that it lacks."""
+    full = full_record(lines)
+    factors = full.get("speed_factors")
+    unscaled = full.get("unscaled")
+    return {"unscaled": unscaled if isinstance(unscaled, dict) else None,
+            "speed_factor_median": statistics.median(factors)
+            if isinstance(factors, list) and factors else None}
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -114,6 +135,7 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: 
         tail = proc.stderr.strip().splitlines()[-3:]
         return {"correct": False, "error": f"exit {proc.returncode}: {' | '.join(tail)}"}
     record["runs"] = run_summaries(lines)
+    record.update(host_figures(lines))
     return record
 
 
