@@ -1,0 +1,265 @@
+"""The discrete gradient prepared at a step's base point.
+
+A step holds its base point ``z0`` fixed over every residual call, so the
+integrators prepare it once (``gradients._PreparedBase``) and each call
+evaluates only what depends on ``z1``.  The references here are the
+per-call formulas, which evaluate every term, ``grad V(z0)`` and the
+divergence's base terms included, at each call: the prepared base must
+give what they give bit for bit, and make fewer field calls.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import daegrad.integrators as integrators
+from daegrad import gradients
+from daegrad.gradients import (
+    DiscreteGradientKind,
+    ScalarField,
+    avf_gradient,
+    convex_quartic_field,
+    cosh_sum_field,
+    discrete_gradient_info,
+    linear_field,
+    midpoint_gradient,
+    proper_gradient,
+    quadratic_field,
+)
+from daegrad.integrators import integrate
+from daegrad.problems import make_friction, make_problem
+
+VARIANTS = ("avf", "midpoint", "proper")
+coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+def per_call_midpoint(V, z, zp):
+    if V.hint == "quadratic":
+        return gradients._gradient(V, 0.5 * (z + zp)).copy()
+    delta = z - zp
+    dd = float(delta @ delta)
+    if gradients._coincide(z, dd):
+        return gradients._gradient(V, z).copy()
+    g = gradients._gradient(V, 0.5 * (z + zp))
+    corr = (V.value(z) - V.value(zp) - float(g @ delta)) / dd
+    return g + corr * delta
+
+
+def per_call_discrete_gradient(variant, V, z, zp):
+    """``(gbar(z, zp), fell_back)`` with every term evaluated in this call."""
+    z, zp = np.asarray(z, dtype=float), np.asarray(zp, dtype=float)
+    if variant == "avf":
+        if (z == zp).all():
+            return gradients._gradient(V, z).copy(), False
+        nodes, weights = gradients._avf_rule()
+        points = zp + nodes[:, None] * (z - zp)
+        if V.hint == "separable":
+            grads = np.asarray(V.gradient(points), dtype=float)
+        else:
+            grads = np.array([gradients._gradient(V, p) for p in points])
+        return weights @ grads, False
+    if variant == "midpoint":
+        return per_call_midpoint(V, z, zp), False
+    delta = z - zp
+    dd = float(delta @ delta)
+    if gradients._coincide(z, dd):
+        return gradients._gradient(V, z).copy(), False
+    if V.hint == "quadratic":
+        t1 = t2 = 0.5
+    else:
+        if V.divergence is not None:
+            d1, d2 = V.divergence(zp)(z)
+        else:
+            gp = gradients._gradient(V, zp).copy()
+            d1 = V.value(z) - V.value(zp) - float(gp @ delta)
+            d2 = float((gradients._gradient(V, z) - gp) @ delta) - d1
+        den = d1 + d2
+        if abs(den) <= 1e-10 * dd:
+            return per_call_midpoint(V, z, zp), True
+        t1, t2 = d1 / den, d2 / den
+    return t1 * gradients._gradient(V, z) + t2 * gradients._gradient(V, zp), False
+
+
+def fields(dim):
+    """The four built-in kinds, a cosh sum hinted ``"general"`` with no
+    divergence, and a linear field hinted ``"general"``, whose curvature
+    term vanishes, so that its proper gradient always falls back."""
+    X = np.diag(np.arange(1.0, dim + 1.0)) + 0.1
+    gamma = np.linspace(-1.0, 1.0, dim) + 0.5
+    cosh = cosh_sum_field(dim)
+    return {
+        "quadratic": quadratic_field(X, linear=np.full(dim, 0.5)),
+        "linear": linear_field(gamma),
+        "cosh-sum": cosh,
+        "convex-quartic": convex_quartic_field(np.linspace(0.0, 2.0, dim)),
+        "general": replace(cosh, hint="general", divergence=None),
+        "flat": ScalarField(dim, lambda z: float(gamma @ z), lambda z: gamma.copy()),
+    }
+
+
+def one_shot(variant, V, z, zp):
+    """The public functions' result for ``variant``."""
+    g, fell_back = discrete_gradient_info(DiscreteGradientKind(variant), V, z, zp)
+    public = {"avf": avf_gradient, "midpoint": midpoint_gradient, "proper": proper_gradient}
+    assert np.array_equal(public[variant](V, z, zp), g)
+    return g, fell_back
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=4),
+       st.sampled_from(["distinct", "coincident", "near"]))
+def test_prepared_base_gives_the_per_call_and_one_shot_results_property(points, case):
+    zp, z1, z2 = (np.array(column) for column in zip(*points))
+    if case == "coincident":
+        z1 = zp.copy()
+    elif case == "near":
+        z1 = zp + 1e-9 * (z1 - zp)
+    for name, V in fields(zp.size).items():
+        for variant in VARIANTS:
+            base = gradients._PreparedBase(DiscreteGradientKind(variant), V, zp)
+            # z1, z2, z1 on one base: nothing of the z2 call may leak into z1's
+            for z in (z1, z2, z1):
+                got, fell_back = base(z)
+                want, want_fell_back = per_call_discrete_gradient(variant, V, z, zp)
+                assert np.array_equal(got, want), (name, variant, case)
+                assert fell_back == want_fell_back, (name, variant, case)
+                shot, shot_fell_back = one_shot(variant, V, z, zp)
+                assert np.array_equal(shot, got) and shot_fell_back == fell_back
+                if variant == "proper":
+                    assert np.array_equal(base.grad, gradients._gradient(V, z))
+
+
+def test_the_flat_general_field_falls_back_and_quadratic_fields_take_the_short_cut():
+    # the property above covers both branches: check that it does
+    zp, z = np.array([0.3, -0.2]), np.array([1.1, 0.4])
+    assert one_shot("proper", fields(2)["flat"], z, zp)[1] is True
+    for name in ("quadratic", "linear"):
+        V = replace(fields(2)[name], value=lambda u: pytest.fail("value called"),
+                    divergence=lambda z0: pytest.fail("divergence called"))
+        for variant in ("midpoint", "proper"):
+            one_shot(variant, V, z, zp)
+
+
+def test_a_prepared_base_of_another_field_or_variant_is_refused():
+    V, W = cosh_sum_field(2), cosh_sum_field(2)
+    zp, z = np.array([0.3, -0.2]), np.array([1.1, 0.4])
+    base = gradients._PreparedBase(DiscreteGradientKind("proper"), V, zp)
+    with pytest.raises(ValueError, match="prepared base"):
+        discrete_gradient_info(DiscreteGradientKind("proper"), W, z, base)
+    with pytest.raises(ValueError, match="prepared base"):
+        discrete_gradient_info(DiscreteGradientKind("avf"), V, z, base)
+    assert discrete_gradient_info(DiscreteGradientKind("proper"), V, z, base)[0].shape == (2,)
+
+
+# ------------------------------------------------------- calls per step
+
+
+def counting(V, calls):
+    """``V`` with each field call appended to ``calls`` as ``(kind, point)``,
+    where the point is the first argument."""
+
+    def count(kind, fn):
+        def wrapped(*args):
+            calls.append((kind, np.array(args[0])))
+            return fn(*args)
+
+        return wrapped
+
+    return replace(
+        V,
+        value=count("value", V.value),
+        gradient=count("gradient", V.gradient),
+        divergence=None if V.divergence is None else count("divergence", V.divergence),
+    )
+
+
+def step_calls(monkeypatch, dae, scheme, z0, steps):
+    """Per step: the start ``z``, the field calls made by ``_advance`` and
+    its residual calls."""
+    calls, residuals, steps_seen = [], [], []
+    real_advance, real_newton = integrators._advance, integrators.newton_solve
+
+    def advance(bound, z, *args, **kwargs):
+        calls.clear()
+        residuals.clear()
+        out = real_advance(bound, z, *args, **kwargs)
+        steps_seen.append((z.copy(), list(calls), len(residuals)))
+        return out
+
+    def newton(residual, w0, *args, **kwargs):
+        def counted(w):
+            residuals.append(1)
+            return residual(w)
+
+        return real_newton(counted, w0, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "_advance", advance)
+    monkeypatch.setattr(integrators, "newton_solve", newton)
+    integrate(replace(dae, V=counting(dae.V, calls)), scheme, z0, 0.1, steps)
+    return steps_seen
+
+
+def test_index1_step_evaluates_one_gradient_per_residual(monkeypatch):
+    spec = make_problem("sinh-gordon", grid=16)
+    for z, calls, residuals in step_calls(monkeypatch, spec.dae, "dg-index1",
+                                          spec.default_initial_state, 2):
+        kinds = [kind for kind, _ in calls]
+        assert residuals > 16
+        # grad V(z0) when the step prepares its base, and grad V(z0) and
+        # grad V(z1) in the fallback check on the accepted state
+        assert kinds.count("gradient") == residuals + 3
+        # the step's preparation and the fallback check's
+        divergences = [u for kind, u in calls if kind == "divergence"]
+        assert len(divergences) == 2 and np.array_equal(divergences[0], z)
+        assert kinds.count("value") == 0
+
+
+def test_midpoint_step_evaluates_the_base_value_once(monkeypatch):
+    spec = make_friction()
+    assert spec.dae.V.hint == "general"
+    for z, calls, residuals in step_calls(monkeypatch, spec.dae, "dg-midpoint",
+                                          spec.default_initial_state, 3):
+        at_base = [kind for kind, u in calls if kind == "value" and np.array_equal(u, z)]
+        assert len(at_base) == 1
+        assert residuals > 5
+
+
+# ------------------------------------------------- whole runs bit for bit
+
+
+class PerCallBase(gradients._PreparedBase):
+    """Keeps the base point only, and evaluates the per-call formulas at
+    every call; ``grad`` is a fresh ``grad V(z)``, as the constraint row
+    evaluated it before the base was prepared."""
+
+    def __init__(self, kind, V, zp):
+        self.variant, self.V, self.zp = kind.variant, V, np.asarray(zp, dtype=float)
+
+    def __call__(self, z):
+        self.grad = gradients._gradient(self.V, z)
+        return per_call_discrete_gradient(self.variant, self.V, z, self.zp)
+
+
+@pytest.mark.parametrize("problem, scheme, steps", [
+    ("sinh-gordon", "dg-index1", 10),
+    ("sinh-gordon", "dg-proper", 20),
+    ("sinh-gordon", "dg-avf", 20),
+    ("friction", "dg-midpoint", 50),
+])
+def test_run_matches_the_per_call_formulas_bit_for_bit(problem, scheme, steps, monkeypatch):
+    spec = make_problem(problem, grid=16 if problem == "sinh-gordon" else None)
+
+    def run():
+        return integrate(spec.dae, scheme, spec.default_initial_state, 0.1, steps,
+                         observers=spec.observers)
+
+    prepared = run()
+    monkeypatch.setattr(integrators, "_PreparedBase", PerCallBase)
+    per_call = run()
+    assert np.array_equal(prepared.states(), per_call.states())
+    for a, b in zip(prepared.records, per_call.records):
+        assert (a.newton_iters, a.newton_residual) == (b.newton_iters, b.newton_residual)
+        assert a.fallback_used == b.fallback_used

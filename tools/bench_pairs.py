@@ -118,7 +118,8 @@ def host_figures(lines: list[str]) -> dict:
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``benchmarks/run.py`` run: its last stdout line, with ``runs`` from
-    :func:`run_summaries` added, or an error record."""
+    :func:`run_summaries` and the fields of :func:`host_figures` added, or
+    an error record."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     try:
