@@ -180,7 +180,8 @@ _SINH_SERIES = tuple(1.0 / math.factorial(2 * k + 3) for k in reversed(range(8))
 def _sinh_minus_identity(h: np.ndarray) -> np.ndarray:
     """``sinh(h) - h`` element-wise; where ``|h| <= 0.5`` the cancellation-free
     Horner sum ``h^3 sum_{k<8} h^(2k) / (2k+3)!``, which reaches double precision.
-    The direct difference is evaluated only when some ``|h|`` exceeds 0.5.
+    The direct difference is evaluated, and used where ``|h| <= 0.5`` fails,
+    only when ``max |h|`` exceeds 0.5 or is NaN.
     The sum runs in place in one buffer, rounded in the order of
     ``poly = poly h^2 + c`` per coefficient and ``series = (h h^2) poly``."""
     h2 = h * h
@@ -190,10 +191,9 @@ def _sinh_minus_identity(h: np.ndarray) -> np.ndarray:
         series *= h2
         series += c
     series *= h * h2
-    small = np.abs(h) <= 0.5
-    if np.logical_and.reduce(small):
+    if np.maximum.reduce(np.abs(h)) <= 0.5:
         return series
-    return np.where(small, series, np.sinh(h) - h)
+    return np.where(np.abs(h) <= 0.5, series, np.sinh(h) - h)
 
 
 def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
@@ -202,7 +202,9 @@ def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
     ``D(z, z0)`` sums ``cosh(z0) 2 s^2 + sinh(z0) phi`` and ``D(z0, z)`` sums
     ``cosh(z) 2 s^2 - sinh(z) phi``, with ``h = z - z0``, ``s = sinh(h/2)`` and
     ``phi = sinh(h) - h`` computed once on whole arrays for both; the base
-    terms ``2 cosh(z0)`` and ``sinh(z0)`` once per prepared ``z0``.  ``sinh``
+    terms ``2 cosh(z0)`` and ``sinh(z0)`` once per prepared ``z0``.  Both sums
+    are built in place in two buffers, rounded as ``(c0 s) s + sinh(z0) phi``
+    and ``((2 cosh(z)) s) s - sinh(z) phi``.  ``sinh``
     and the kernel are odd, so each entry is bitwise what the one-sided
     formula gives on its own.  A Horner series for small ``h`` keeps ``phi``,
     and so the divergences, accurate near coincidence.
@@ -217,8 +219,18 @@ def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
             h = z - z0
             s = np.sinh(0.5 * h)
             phi = _sinh_minus_identity(h)
-            return (float(np.add.reduce(c0 * s * s + s0 * phi)),
-                    float(np.add.reduce(np.cosh(z) * 2.0 * s * s - np.sinh(z) * phi)))
+            t, u = c0 * s, s0 * phi
+            t *= s
+            t += u
+            forward = float(np.add.reduce(t))
+            np.cosh(z, out=t)
+            t *= 2.0
+            t *= s
+            t *= s
+            np.sinh(z, out=u)
+            u *= phi
+            t -= u
+            return forward, float(np.add.reduce(t))
 
         return pair
 

@@ -49,9 +49,10 @@ from .errors import (
 from .gradients import (
     DiscreteGradientKind,
     ScalarField,
+    _MIDPOINT,
     _PreparedBase,
     discrete_gradient_info,
-    midpoint_gradient,
+    midpoint_gradient,  # unused here; benchmarks/spans.py traces this attribute
 )
 from . import model
 from .model import GeneralDAE, LinearGradientDAE
@@ -83,14 +84,15 @@ _STEP_TOL = 1e-14
 @dataclass(frozen=True)
 class NewtonConfig:
     """Stopping rules for the Newton iteration: a finite, positive
-    ``residual_tol`` and an integral ``max_iters`` (not a ``bool``) of at
-    least 1, or ``ValueError``."""
+    ``residual_tol`` and an integral ``max_iters`` of at least 1, neither a
+    ``bool``, or ``ValueError``."""
 
     residual_tol: float = 1e-12
     max_iters: int = 50
 
     def __post_init__(self):
-        if not (self.residual_tol > 0 and math.isfinite(self.residual_tol)):
+        if (isinstance(self.residual_tol, (bool, np.bool_))
+                or not (self.residual_tol > 0 and math.isfinite(self.residual_tol))):
             raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
         if (isinstance(self.max_iters, bool)
                 or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1):
@@ -230,9 +232,10 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     block lands every step exactly on the constraint manifold; the
     redundant force ``c`` is zero in exact arithmetic, and its computed
     size is a solver diagnostic.  ``gonzalez`` uses :func:`_augmented_gradient`.
-    Every other scheme prepares its discrete gradient at ``z0`` once per
-    step, and the constraint block reads the ``grad V(z1)`` that the
-    interior-division gradient evaluated.
+    Every scheme prepares its discrete gradient at ``z0`` once per step.
+    The constraint block is ``(B^T S) grad V(z1)``: it reads the
+    ``grad V(z1)`` that the interior-division gradient evaluated, and forms
+    ``B^T S(z0)`` once per step for a constant ``S``.
     """
     if not isinstance(dae, LinearGradientDAE):
         raise ValueError(f"scheme {scheme!r} needs a linear-gradient system")
@@ -254,6 +257,8 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             def gradient(zp):
                 return discrete_gradient_info(kind, V, zp, base)[0]
 
+        BtS0 = B.T @ S0 if index1 else None
+
         def residual(w):
             zp = w[:d]
             gbar = gradient(zp)
@@ -263,7 +268,7 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             dyn = A @ (zp - z) / dt - Sg
             if not index1:
                 return dyn
-            constraint = B.T @ (S1 @ base.grad)
+            constraint = (BtS0 if S1 is S0 else B.T @ S1) @ base.grad
             return np.concatenate([dyn - B @ w[d:], constraint])
 
         return residual
@@ -284,6 +289,8 @@ def _augmented_gradient(dae):
     ``gbar_j`` are midpoint gradients over ``(x1, x0)``, ``lam_bar`` and
     ``g_bar`` endpoint averages, and ``P = I - E E^T``.  The discrete chain
     rule holds exactly: ``lam1 g1 - lam0 g0 = lam_bar (g1 - g0) + g_bar (lam1 - lam0)``.
+    Each step prepares one midpoint base per field at ``x0``, and each
+    residual calls every base once through ``discrete_gradient_info``.
     """
     H, constraints, E = dae.hamiltonian, dae.constraints, dae.subspaces.null_basis
     if H is None:
@@ -300,12 +307,13 @@ def _augmented_gradient(dae):
 
     def gradient_from(z):
         x0, lam0, g0 = split(z)
+        bases = [_PreparedBase(_MIDPOINT, field, x0) for field in (H, *constraints)]
 
         def gradient(zp):
             x1, lam1, g1 = split(zp)
-            w = midpoint_gradient(H, x1, x0)
-            for lam_j, g in zip(0.5 * (lam1 + lam0), constraints):
-                w = w + lam_j * midpoint_gradient(g, x1, x0)
+            w = discrete_gradient_info(_MIDPOINT, H, x1, bases[0])[0]
+            for lam_j, g, base in zip(0.5 * (lam1 + lam0), constraints, bases[1:]):
+                w = w + lam_j * discrete_gradient_info(_MIDPOINT, g, x1, base)[0]
             return P @ w + E @ (0.5 * (g1 + g0))
 
         return gradient
@@ -461,10 +469,10 @@ def integrate(
     The redundant force of the index-1 scheme always starts at zero.  The
     index-1 scheme first projects ``z0`` onto the constraint manifold.
     ``ValueError`` is raised before any solve for ``steps`` that is not an
-    integer of at least 1 (a ``bool`` is not one), a ``dt`` that is not
-    finite and positive, a ``z0`` that is not a finite vector of the
-    system's dimension, and observers of another dimension or with
-    clashing names.
+    integer of at least 1 (a ``bool`` is not one), a ``dt`` that is a
+    ``bool`` or not finite and positive, a ``z0`` that is not a finite
+    vector of the system's dimension, and observers of another dimension
+    or with clashing names.
     ``newton_iters`` counts the iterations of the solve that was accepted.
     Returns ``steps + 1`` records; a solver or linear-algebra error in a
     step raises :class:`StepFailure` carrying the partial trajectory, and
@@ -475,7 +483,7 @@ def integrate(
         raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
     bound = _bind(target, scheme)
     d = target.dim
-    if not (dt > 0 and math.isfinite(dt)):
+    if isinstance(dt, (bool, np.bool_)) or not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     z = np.array(z0, dtype=float)
     if z.shape != (d,):

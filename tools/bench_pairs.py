@@ -42,7 +42,9 @@ record before it, ``unscaled`` that record's medians before the host-speed
 scaling, and ``speed_factor_median`` the median of its ``speed_factors``,
 so that a shift of the host's speed can be told from the library's own
 time (None each without a full record, or for a traced run, which has no
-speed factors).  A run that outlasts
+speed factors); and in ``host_summary``, per workload, each side's median
+of those two figures over its untraced runs and their ratios, so that the
+file shows whether a gain holds before the scaling.  A run that outlasts
 ``RUN_TIMEOUT_FLOOR_S + RUN_TIMEOUT_FACTOR * --seconds`` is stopped and
 recorded as ``"correct": false`` with the error ``"timed out"``.  The
 script exits with status 1 if a run failed or reported ``"correct":
@@ -250,6 +252,26 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def summarize_host(records: list[dict]) -> dict:
+    """Each side's median, over one workload's untraced records, of
+    ``unscaled.ms_per_step`` and of ``speed_factor_median``, and for each
+    the ratio of the medians (change over parent); None for a median
+    without values and for a ratio without both medians.  Kept apart from
+    ``summary``, so that it shows whether a change in the scaled time is
+    the library's own or a shift of the host's speed."""
+    figures = {"unscaled_ms_per_step": lambda r: (r.get("unscaled") or {}).get("ms_per_step"),
+               "speed_factor_median": lambda r: r.get("speed_factor_median")}
+    out = {}
+    for key, read in figures.items():
+        for side in SIDES:
+            values = [v for r in records if r["side"] == side
+                      if (v := read(r["record"])) is not None]
+            out[f"{side}_{key}"] = statistics.median(values) if values else None
+        parent, change = out[f"parent_{key}"], out[f"change_{key}"]
+        out[f"{key}_ratio"] = change / parent if parent and change is not None else None
+    return out
+
+
 TRACED_NOTE = ("per-layer counts of the one --trace 1 run per side; traced times are not "
                "scaled for the host's speed and come from one run per side, so only "
                "these counts compare across sides")
@@ -338,6 +360,10 @@ def main(argv=None) -> int:
         },
         "runs_summary": {
             w: summarize_runs([r for r in records if r["workload"] == w and r["trace"] == 0])
+            for w in args.workload
+        },
+        "host_summary": {
+            w: summarize_host([r for r in records if r["workload"] == w and r["trace"] == 0])
             for w in args.workload
         },
         "traced": traced_records,
