@@ -302,3 +302,57 @@ def test_each_record_carries_its_runs_unscaled_medians_and_speed_factor(tmp_path
     assert records["parent"]["speed_factor_median"] == 2.5
     assert records["change"]["unscaled"] is None  # the stub prints no full record
     assert records["change"]["speed_factor_median"] is None
+
+
+def _with_host(records, figures):
+    """``records`` with ``unscaled.ms_per_step`` and ``speed_factor_median``
+    set from ``figures[i]``, a pair of them (or None for no full record)."""
+    for r, fig in zip(records, figures):
+        ms, factor = fig if fig is not None else (None, None)
+        r["record"]["unscaled"] = None if ms is None else {"ms_per_step": ms}
+        r["record"]["speed_factor_median"] = factor
+    return records
+
+
+def test_host_summary_gives_each_sides_medians_and_their_ratios():
+    records = _records([((1.0, 1.0), (0.9, 1.0))] * 3)
+    # parent, change per pair: the change is faster before scaling, on one host speed
+    _with_host(records, [(9.0, 2.5), (8.0, 2.4), (9.5, 2.5), (8.5, 2.5), (10.0, 2.6), (7.5, 2.5)])
+    host = bench_pairs.summarize_host(records)
+    assert host == {
+        "parent_unscaled_ms_per_step": 9.5, "change_unscaled_ms_per_step": 8.0,
+        "unscaled_ms_per_step_ratio": pytest.approx(8.0 / 9.5),
+        "parent_speed_factor_median": 2.5, "change_speed_factor_median": 2.5,
+        "speed_factor_median_ratio": 1.0,
+    }
+    # the scaled summary is unchanged by these figures
+    assert "unscaled_ms_per_step" not in bench_pairs.summarize(records, END_TO_END)
+
+
+def test_host_summary_skips_runs_without_a_full_record_and_gives_none_for_an_empty_side():
+    records = _records([((1.0, 1.0), (0.9, 1.0))] * 2)
+    _with_host(records, [(9.0, 2.5), None, (10.0, 2.7), None])
+    host = bench_pairs.summarize_host(records)
+    assert host["parent_unscaled_ms_per_step"] == 9.5
+    assert host["parent_speed_factor_median"] == pytest.approx(2.6)
+    assert host["change_unscaled_ms_per_step"] is None
+    assert host["unscaled_ms_per_step_ratio"] is None
+    assert host["speed_factor_median_ratio"] is None
+    records[3]["record"] = {"correct": False, "error": "timed out"}
+    assert bench_pairs.summarize_host(records)["change_speed_factor_median"] is None
+
+
+def test_host_summary_is_written_beside_the_workload_summary(tmp_path):
+    full = {"speed_factors": [2.0, 3.0], "unscaled": {"ms_per_step": 9.5}}
+    parent = _checkout(tmp_path, "parent", full)
+    change = _checkout(tmp_path, "change", full)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(_argv(parent, change, out)) == 0
+    result = json.loads(out.read_text())
+    host = result["host_summary"]["small-systems"]
+    assert host["parent_unscaled_ms_per_step"] == host["change_unscaled_ms_per_step"] == 9.5
+    assert host["unscaled_ms_per_step_ratio"] == 1.0
+    assert host["speed_factor_median_ratio"] == 1.0
+    # every dict in the workload's summary is still a metric
+    summary = result["summary"]["small-systems"]
+    assert all("meets_gain_rule" in v for v in summary.values() if isinstance(v, dict))

@@ -204,6 +204,24 @@ def test_sinh_minus_identity_rounds_as_the_out_of_place_horner_loop(low, high):
     assert small.any() == (low < 0.5) and (~small).any() == (high > 0.5)
 
 
+@pytest.mark.parametrize("h", [
+    [0.5, -0.5, 0.25],
+    [0.5, math.nan, -0.1],
+    [math.inf, 0.2, -0.5],
+    [-math.inf, 0.3],
+    [math.nan],
+    [0.5, 0.5000000000000001, -0.5],
+], ids=["half", "nan", "inf", "minus-inf", "all-nan", "just-above-half"])
+def test_sinh_minus_identity_matches_the_out_of_place_loop_on_edge_entries(h):
+    # the branch test reads max |h| once: NaN and inf entries must take the
+    # direct branch where the entry-wise test did, and |h| = 0.5 the series
+    h = np.array(h)
+    with np.errstate(invalid="ignore"):  # sinh(inf) - inf
+        got = gradients._sinh_minus_identity(h)
+        want = _sinh_minus_identity_out_of_place(h)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_cosh_divergence_vanishes_at_coincidence():
     V = cosh_sum_field(4)
     for z in (np.zeros(4), np.array([0.3, -2.5, 1e-9, 2.9]), np.full(4, -0.5)):

@@ -199,7 +199,7 @@ def test_newton_config_validation():
         NewtonConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_iters=0)
-    for tol in (math.nan, math.inf, -1e-12):
+    for tol in (math.nan, math.inf, -1e-12, True, np.True_):
         with pytest.raises(ValueError, match="residual_tol must be finite and positive"):
             NewtonConfig(residual_tol=tol)
     for iters in (2.5, 3.0, "5", True):
@@ -424,6 +424,18 @@ def test_dg_midpoint_second_order_convergence():
 
 
 # ---------------------------------------------------- index-1 dg scheme
+
+
+def test_index1_lattice_at_grid_128_conserves_and_stays_on_the_manifold():
+    # the benchmark's lattice-index1 system; its constraint row is formed
+    # from B^T S once per step
+    spec = make_problem("sinh-gordon", grid=128)
+    traj = integrate(spec.dae, "dg-index1", spec.default_initial_state, 0.1, 10,
+                     observers=spec.observers)
+    H = traj.invariant_series("H")
+    assert sum(r.newton_iters for r in traj.records) == 21
+    assert np.abs(H - H[0]).max() <= 1e-12 * max(1.0, abs(H[0]))
+    assert max(r.constraint_residual_norm for r in traj.records) <= 1e-10
 
 
 def test_index1_step_enforces_constraint_and_energy():
@@ -746,7 +758,7 @@ def test_integrate_rejects_non_finite_initial_state(bad, monkeypatch):
     assert solves == []  # refused before the projection or any step
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf, True, np.True_])
 @pytest.mark.parametrize("advance", [lambda *args: integrate(*args, 5)], ids=["integrate"])
 def test_step_and_integrate_reject_a_dt_that_is_not_finite_and_positive(advance, dt, monkeypatch):
     spec = make_problem("sinh-gordon", grid=8)

@@ -263,3 +263,99 @@ def test_run_matches_the_per_call_formulas_bit_for_bit(problem, scheme, steps, m
     for a, b in zip(prepared.records, per_call.records):
         assert (a.newton_iters, a.newton_residual) == (b.newton_iters, b.newton_residual)
         assert a.fallback_used == b.fallback_used
+
+
+# ------------------------------------------------------------- Gonzalez
+
+
+def per_call_augmented_gradient(dae):
+    """Gonzalez's gradient with a one-shot ``midpoint_gradient`` per field
+    at every call, as it was formed before each step prepared its bases."""
+    H, constraints, E = dae.hamiltonian, dae.constraints, dae.subspaces.null_basis
+    P = np.eye(dae.dim) - E @ E.T
+
+    def split(z):
+        x = P @ z
+        return x, E.T @ z, np.array([g.value(x) for g in constraints])
+
+    def gradient_from(z):
+        x0, lam0, g0 = split(z)
+
+        def gradient(zp):
+            x1, lam1, g1 = split(zp)
+            w = midpoint_gradient(H, x1, x0)
+            for lam_j, g in zip(0.5 * (lam1 + lam0), constraints):
+                w = w + lam_j * midpoint_gradient(g, x1, x0)
+            return P @ w + E @ (0.5 * (g1 + g0))
+
+        return gradient
+
+    return gradient_from
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "friction"])
+def test_gonzalez_run_matches_the_per_call_midpoint_gradients_bit_for_bit(problem, monkeypatch):
+    spec = make_problem(problem)
+
+    def run():
+        return integrate(spec.dae, "gonzalez", spec.default_initial_state, 0.1, 500,
+                         observers=spec.observers)
+
+    prepared = run()
+    monkeypatch.setattr(integrators, "_augmented_gradient", per_call_augmented_gradient)
+    per_call = run()
+    assert len(prepared) == len(per_call) == 501
+    assert np.array_equal(prepared.states(), per_call.states())
+    for a, b in zip(prepared.records, per_call.records):
+        assert (a.newton_iters, a.newton_residual) == (b.newton_iters, b.newton_residual)
+        assert a.invariant_values == b.invariant_values
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "friction"])
+def test_gonzalez_prepares_one_midpoint_base_per_field_per_step(problem, monkeypatch):
+    spec = make_problem(problem)
+    dae = spec.dae
+    fields = (dae.hamiltonian, *dae.constraints)
+    E = dae.subspaces.null_basis
+    P = np.eye(dae.dim) - E @ E.T
+    made, dg_calls, residuals, steps = [], [], [], []
+
+    class CountedBase(gradients._PreparedBase):
+        def __init__(self, kind, V, zp):
+            made.append((kind.variant, V, np.array(zp)))
+            super().__init__(kind, V, zp)
+
+    real_advance, real_newton = integrators._advance, integrators.newton_solve
+    real_dg = integrators.discrete_gradient_info
+
+    def advance(bound, z, *args, **kwargs):
+        made.clear()
+        dg_calls.clear()
+        residuals.clear()
+        out = real_advance(bound, z, *args, **kwargs)
+        steps.append((z.copy(), list(made), len(dg_calls), len(residuals)))
+        return out
+
+    def newton(residual, w0, *args, **kwargs):
+        def counted(w):
+            residuals.append(1)
+            return residual(w)
+
+        return real_newton(counted, w0, *args, **kwargs)
+
+    def dg(kind, V, z, base):
+        dg_calls.append(kind.variant)
+        return real_dg(kind, V, z, base)
+
+    monkeypatch.setattr(integrators, "_PreparedBase", CountedBase)
+    monkeypatch.setattr(integrators, "_advance", advance)
+    monkeypatch.setattr(integrators, "newton_solve", newton)
+    monkeypatch.setattr(integrators, "discrete_gradient_info", dg)
+    integrate(dae, "gonzalez", spec.default_initial_state, 0.1, 3)
+    assert len(steps) == 3
+    for z, bases, calls, residual_calls in steps:
+        assert len(bases) == len(fields)
+        for (variant, V, zp), field in zip(bases, fields):
+            assert variant == "midpoint" and V is field and np.array_equal(zp, P @ z)
+        # each residual still reads every field's midpoint gradient once
+        assert residual_calls > 2 and calls == len(fields) * residual_calls
