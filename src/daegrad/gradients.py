@@ -103,6 +103,13 @@ class ScalarField:
     many ``z``.  Supplying it makes the interior-division
     coefficient accurate arbitrarily close to coincidence, where the naive
     three-term formula loses all significant digits.
+
+    ``hessian`` optionally returns the diagonal of ``grad^2 V(z)`` for a
+    field whose Hessian is diagonal, as ``V(z) = sum_i v_i(z_i)`` has.
+    Under the ``"separable"`` hint it must also map a ``(k, dim)`` stack of
+    points row by row, as ``gradient`` does; any other field is read one
+    point at a time.  Supplying it lets the integrators build their Newton
+    Jacobians from it rather than from forward differences.
     """
 
     dim: int
@@ -111,6 +118,7 @@ class ScalarField:
     hint: str = "general"
     divergence: Callable[[np.ndarray], Callable[[np.ndarray], tuple[float, float]]] | None = None
     name: str = ""
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if (isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral)
@@ -241,6 +249,7 @@ def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
         hint="separable",
         divergence=divergence,
         name=name,
+        hessian=lambda u: np.cosh(u),
     )
 
 
@@ -285,6 +294,7 @@ def convex_quartic_field(curvature, name: str = "") -> ScalarField:
         hint="separable",
         divergence=divergence,
         name=name,
+        hessian=lambda z: 3.0 * z**2 + c,
     )
 
 
@@ -326,6 +336,24 @@ def _gradient(V: ScalarField, z) -> np.ndarray:
     return np.asarray(V.gradient(z), dtype=float).reshape(V.dim)
 
 
+def _hessian(V: ScalarField, z) -> np.ndarray:
+    """The diagonal of ``grad^2 V`` at one point, shape ``(V.dim,)``, or at
+    each row of a ``(k, V.dim)`` stack, shape ``(k, V.dim)``; every Hessian
+    read in the library comes here.  A stack goes to ``V.hessian`` in one
+    call only under the ``"separable"`` hint, so the result never depends
+    on the hint."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 1:
+        return np.asarray(V.hessian(z), dtype=float).reshape(V.dim)
+    if V.hint != "separable":
+        return np.array([_hessian(V, point) for point in z])
+    h = np.asarray(V.hessian(z), dtype=float)
+    if h.shape != z.shape:
+        raise ValueError(f"field {V.name or '<unnamed>'} is hinted 'separable', but its hessian "
+                         f"mapped points of shape {z.shape} to shape {h.shape}")
+    return h
+
+
 @cache
 def _avf_rule() -> tuple[np.ndarray, np.ndarray]:
     # built on first use, so that ``import daegrad`` need not load numpy.polynomial
@@ -341,14 +369,16 @@ class _PreparedBase:
     buffer) and ``V.divergence(zp)``, and ``V(zp)`` where a formula needs it
     (a proper gradient with a divergence reads it only on a fallback).
     Calling the base at ``z`` returns ``(gbar(z, zp), fell_back)``; a proper
-    gradient leaves ``grad V(z)``, evaluated once per call, in ``grad``.
+    gradient leaves ``grad V(z)``, evaluated once per call, in ``grad``,
+    and keeps ``z`` in ``at`` and what :meth:`derivative` needs of the
+    interior-division coefficient in ``theta``.
     """
 
-    __slots__ = ("variant", "V", "zp", "gp", "vp", "divergence", "grad")
+    __slots__ = ("variant", "V", "zp", "gp", "vp", "divergence", "grad", "at", "theta", "hess")
 
     def __init__(self, kind: DiscreteGradientKind, V: ScalarField, zp):
         self.variant, self.V, self.zp = kind.variant, V, _point(V, zp)
-        self.gp = self.vp = self.divergence = self.grad = None
+        self.gp = self.vp = self.divergence = self.grad = self.at = self.theta = self.hess = None
         curved = V.hint != "quadratic"
         if self.variant == "proper":
             self.gp = _gradient(V, self.zp).copy()
@@ -371,14 +401,50 @@ class _PreparedBase:
                 return _gradient(V, z).copy(), False
             return self._corrected_midpoint(z, delta, dd), False
         g = self.grad = _gradient(V, z)
+        self.at, self.theta = z.copy(), None
         if _coincide(z, dd):
+            self.theta = 0.5, None
             return g.copy(), False
         try:
-            t1, t2 = self._theta_pair(z, g, delta, dd)
+            t1, t2, den = self._theta_pair(z, g, delta, dd)
         except DegenerateDenominator:
             self.grad = g.copy()  # the midpoint gradient may reuse its buffer
             return self._corrected_midpoint(z, delta, dd), True
+        self.theta = t1, den
         return t1 * g + t2 * self.gp, False
+
+    def derivative(self, z):
+        """``d gbar(z, zp) / dz`` as ``(diagonal, rank_one)``, meaning
+        ``diag(diagonal) + outer(*rank_one)`` (``rank_one`` may be None), or
+        None where it is not available: a field without ``hessian``, the
+        midpoint gradient, or a proper gradient that falls back at ``z``.
+
+        For the average vector field it is ``sum_i w_i c_i grad^2 V(p_i)``
+        over the quadrature nodes ``p_i = zp + c_i (z - zp)``.  For the proper
+        gradient, with ``u = grad V(z) - grad V(zp)``, ``delta = z - zp`` and
+        ``h = grad^2 V(z)``, it is ``theta h + outer(u, dtheta)`` where
+        ``dtheta = (u - theta (u + h delta)) / den`` and ``den`` is the
+        curvature term; at coincidence, or for an affine gradient, ``h / 2``.
+        It reads what the last call left when that call was at ``z``, and
+        otherwise makes the call; it leaves ``grad^2 V(z)`` in ``hess``.
+        """
+        V, zp = self.V, self.zp
+        if V.hessian is None or self.variant == "midpoint":
+            return None
+        z = _point(V, z)
+        if self.variant == "avf":
+            nodes, weights = _avf_rule()
+            return (weights * nodes) @ _hessian(V, zp + nodes[:, None] * (z - zp)), None
+        if self.at is None or not np.array_equal(self.at, z):
+            self(z)
+        h = self.hess = _hessian(V, z)
+        if self.theta is None:
+            return None
+        t1, den = self.theta
+        if den is None:
+            return t1 * h, None
+        u = self.grad - self.gp
+        return t1 * h, (u, (u - t1 * (u + h * (z - zp))) / den)
 
     def _avf(self, z):
         V, zp = self.V, self.zp
@@ -406,12 +472,13 @@ class _PreparedBase:
             self.vp = self.V.value(self.zp)
         return g + (self.V.value(z) - self.vp - float(g @ delta)) / dd * delta
 
-    def _theta_pair(self, z, g, delta, dd) -> tuple[float, float]:
-        """``theta(z, zp)`` and ``theta(zp, z)`` with ``g = grad V(z)``, from the
-        prepared divergence or else the three-term formulas, which share one
-        curvature evaluation."""
+    def _theta_pair(self, z, g, delta, dd) -> tuple[float, float, float | None]:
+        """``theta(z, zp)``, ``theta(zp, z)`` and their denominator, the
+        curvature term, with ``g = grad V(z)``, from the prepared divergence
+        or else the three-term formulas, which share one curvature
+        evaluation; an affine gradient gives one half each and no term."""
         if self.V.hint == "quadratic":
-            return 0.5, 0.5
+            return 0.5, 0.5, None
         if self.divergence is not None:
             d1, d2 = map(float, self.divergence(z))
         else:
@@ -422,7 +489,7 @@ class _PreparedBase:
             raise DegenerateDenominator(
                 f"curvature term {den:.3e} below tolerance for |z - z'|^2 = {dd:.3e}"
             )
-        return d1 / den, d2 / den
+        return d1 / den, d2 / den, den
 
 
 _AVF, _MIDPOINT, _PROPER = map(DiscreteGradientKind, ("avf", "midpoint", "proper"))

@@ -1,7 +1,10 @@
 """One-step integrators for linear-gradient DAE systems.
 
-Every scheme solves one residual per step with a damped Newton iteration
-on a forward-difference Jacobian.  The schemes, by name:
+Every scheme solves one residual per step with a damped Newton iteration.
+Its Jacobian is analytic for a discrete-gradient scheme other than
+``dg-midpoint`` and ``gonzalez`` on a field that supplies its ``hessian``
+and a constant ``S``; every other iteration takes forward differences.
+The schemes, by name:
 
 * ``implicit-euler`` - ``A (z1 - z0) = dt f(z1)``; conserves any linear
   invariant whose gradient avoids the null space of ``A``.
@@ -130,13 +133,16 @@ def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     w0,
     cfg: NewtonConfig = NewtonConfig(),
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+    *,
+    jacobian: Callable[[np.ndarray], np.ndarray | None] | None = None,
 ) -> NewtonResult:
     """Damped Newton iteration on ``residual(w) = 0``.
 
-    Each iteration solves with ``jacobian(w)`` when the caller passes one,
-    and otherwise with a forward-difference Jacobian that costs ``len(w)``
-    residual calls.  Success means ``||residual||_inf <= cfg.residual_tol``.
+    Each iteration solves with ``jacobian(w)`` when the caller passes one
+    (by keyword) and it returns an array, and otherwise with a
+    forward-difference Jacobian that costs ``len(w)`` residual calls; a
+    ``jacobian`` that returns None takes differences at that iterate.
+    Success means ``||residual||_inf <= cfg.residual_tol``.
     Full steps that increase the residual norm are halved up to 20 times;
     if no halving helps, or ``max_iters`` is exhausted, or the step stagnates
     below a relative ``1e-14`` without meeting the tolerance, raises
@@ -152,10 +158,8 @@ def newton_solve(
     if rnorm <= cfg.residual_tol:
         return NewtonResult(w, 0, rnorm)
     for it in range(1, cfg.max_iters + 1):
-        if jacobian is not None:
-            J = np.asarray(jacobian(w), dtype=float)
-        else:
-            J = _fd_jacobian(residual, w, r)
+        J = None if jacobian is None else jacobian(w)
+        J = _fd_jacobian(residual, w, r) if J is None else np.asarray(J, dtype=float)
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -182,12 +186,14 @@ def newton_solve(
 class _Scheme(NamedTuple):
     """A scheme bound to its target system.
 
-    ``build(z0, dt)`` returns the Newton residual of one step from ``z0``.
-    The unknown is the new state followed by ``extra`` auxiliary
-    components.  ``kind`` and ``V`` name the interior-division gradient
-    whose midpoint fallback is reported (``kind`` is None for gradients
-    that cannot fall back); ``free_null_space`` marks a scheme that leaves
-    the null-space components of a singular mass matrix to the system's
+    ``build(z0, dt)`` returns the Newton residual of one step from ``z0``
+    and its analytic Jacobian, a map ``w ->`` array or None (differences at
+    that iterate), or None for differences throughout.  The unknown is the
+    new state followed by ``extra`` auxiliary components.  ``kind`` and
+    ``V`` name the interior-division gradient whose midpoint fallback is
+    reported (``kind`` is None for gradients that cannot fall back);
+    ``free_null_space`` marks a scheme that leaves the null-space
+    components of a singular mass matrix to the system's
     algebraic rows, so that a singular Newton Jacobian is reported as
     :class:`UnderdeterminedSystem`.
     """
@@ -214,7 +220,7 @@ def _implicit_euler(dae) -> _Scheme:
         def residual(zp):
             return A @ (zp - z) / dt - np.asarray(dae.f(zp), dtype=float)
 
-        return residual
+        return residual, None
 
     return _Scheme(build)
 
@@ -236,6 +242,17 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     The constraint block is ``(B^T S) grad V(z1)``: it reads the
     ``grad V(z1)`` that the interior-division gradient evaluated, and forms
     ``B^T S(z0)`` once per step for a constant ``S``.
+
+    With a field ``hessian``, ``dg-avf``, ``dg-proper`` and ``dg-index1``
+    build an analytic Jacobian from the prepared base's
+    :meth:`~daegrad.gradients._PreparedBase.derivative` ``diag(k) +
+    outer(u, v)``: ``A / dt - S * k - outer(S u, v)``, in ``O(d^2)``, and
+    for ``dg-index1`` the block ``[[that, -B], [(B^T S) * grad^2 V(z1), 0]]``.
+    It holds only for a constant ``S``: where ``S(z1)`` is ``S(z0)``, or
+    where ``S(z1)`` and ``S(z0 + 1)`` both equal ``S(z0)`` entry by entry
+    (equality at ``z1`` alone would pass at ``z1 = z0`` for any ``S``).
+    There the single product and the average agree bit for bit.  Elsewhere,
+    and where the derivative is None, it returns None.
     """
     if not isinstance(dae, LinearGradientDAE):
         raise ValueError(f"scheme {scheme!r} needs a linear-gradient system")
@@ -271,7 +288,26 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             constraint = (BtS0 if S1 is S0 else B.T @ S1) @ base.grad
             return np.concatenate([dyn - B @ w[d:], constraint])
 
-        return residual
+        if kind is None or V.hessian is None or kind.variant == "midpoint":
+            return residual, None
+        A_dt = A / dt
+
+        def jacobian(w):
+            zp = w[:d]
+            S1 = dae.S(zp)
+            constant = S1 is S0 or (np.array_equal(S1, S0) and np.array_equal(dae.S(z + 1.0), S0))
+            part = base.derivative(zp) if constant else None
+            if part is None:
+                return None
+            diagonal, rank_one = part
+            J = A_dt - S0 * diagonal
+            if rank_one is not None:
+                J -= np.outer(S0 @ rank_one[0], rank_one[1])
+            if not index1:
+                return J
+            return np.block([[J, -B], [BtS0 * base.hess, np.zeros((B.shape[1],) * 2)]])
+
+        return residual, jacobian
 
     if index1:
         return _Scheme(build, B.shape[1], kind, V)
@@ -336,17 +372,17 @@ def _advance(
     state followed by the ``extra`` components, and whether the gradient
     fell back.  Newton starts at ``guess`` when given, and again at ``z`` if
     that solve fails."""
-    residual = bound.build(z, dt)
+    residual, jacobian = bound.build(z, dt)
     extra = np.zeros(bound.extra)
     sol = None
     if guess is not None:
         try:
-            sol = newton_solve(residual, np.concatenate([guess, extra]), cfg)
+            sol = newton_solve(residual, np.concatenate([guess, extra]), cfg, jacobian=jacobian)
         except NewtonError:
             pass
     if sol is None:
         try:
-            sol = newton_solve(residual, np.concatenate([z, extra]), cfg)
+            sol = newton_solve(residual, np.concatenate([z, extra]), cfg, jacobian=jacobian)
         except SingularJacobian as exc:
             if bound.free_null_space:
                 raise UnderdeterminedSystem(
@@ -471,8 +507,10 @@ def integrate(
     ``ValueError`` is raised before any solve for ``steps`` that is not an
     integer of at least 1 (a ``bool`` is not one), a ``dt`` that is a
     ``bool`` or not finite and positive, a ``z0`` that is not a finite
-    vector of the system's dimension, and observers of another dimension
-    or with clashing names.
+    vector of the system's dimension, observers of another dimension
+    or with clashing names, and the index-1 scheme on a system whose
+    algebraic rows do not fix its null-space components at ``z0`` (one that
+    is not index 1 there, such as the pendulum).
     ``newton_iters`` counts the iterations of the solve that was accepted.
     Returns ``steps + 1`` records; a solver or linear-algebra error in a
     step raises :class:`StepFailure` carrying the partial trajectory, and
@@ -506,6 +544,9 @@ def integrate(
         return Trajectory([record])
 
     if bound.extra:
+        if not _fixes_null_space(target, z):
+            raise ValueError(f"scheme {scheme!r} needs a system that is index 1 at the start "
+                             "state: its algebraic rows do not fix the null-space components there")
         try:
             z = project_to_constraint(target, z, cfg)
         except (DaegradError, np.linalg.LinAlgError) as exc:

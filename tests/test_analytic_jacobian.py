@@ -1,0 +1,172 @@
+"""Analytic Newton Jacobians from field Hessians.
+
+A field that supplies ``hessian`` (the diagonal of ``grad^2 V``) lets
+``dg-avf``, ``dg-proper`` and ``dg-index1`` build their Newton Jacobians
+from the prepared base's ``derivative`` instead of forward differences.
+The references here are the difference Jacobian of the same residual, and
+whole runs with every Jacobian taken by differences.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import daegrad.integrators as integrators
+from daegrad import gradients
+from daegrad.gradients import ScalarField, convex_quartic_field, cosh_sum_field
+from daegrad.integrators import integrate
+from daegrad.model import LinearGradientDAE
+from daegrad.problems import make_problem
+
+SCHEMES = ("dg-index1", "dg-proper", "dg-avf")
+GRID = 8
+
+
+def lattice(field: str) -> tuple[LinearGradientDAE, np.ndarray]:
+    """The sinh-gordon system at grid 8, with its cosh sum or a convex
+    quartic as ``V``, and its start state."""
+    spec = make_problem("sinh-gordon", grid=GRID)
+    dae = spec.dae
+    if field == "quartic":
+        dae = replace(dae, V=convex_quartic_field(np.linspace(0.5, 1.5, GRID), name="H"))
+    return dae, spec.default_initial_state
+
+
+@pytest.mark.parametrize("field", [cosh_sum_field(5),
+                                   convex_quartic_field([0.0, 1.0, 2.0, 0.5, 3.0])])
+def test_field_hessian_is_the_derivative_of_the_gradient(field):
+    z = np.array([0.3, -1.2, 0.0, 2.0, -0.4])
+    h = 1e-6
+    differences = [(field.gradient(z + h * e) - field.gradient(z - h * e)) / (2 * h)
+                   for e in np.eye(5)]
+    np.testing.assert_allclose(np.diag(gradients._hessian(field, z)), differences,
+                               rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("field", [cosh_sum_field(3), convex_quartic_field([0.0, 1.0, 2.0])])
+def test_a_stack_of_hessians_does_not_depend_on_the_hint(field):
+    points = np.linspace(-2.0, 2.0, 21).reshape(7, 3)
+    stacked = gradients._hessian(field, points)
+    row_by_row = gradients._hessian(replace(field, hint="general"), points)
+    assert stacked.shape == row_by_row.shape == (7, 3)
+    assert np.array_equal(stacked, row_by_row)
+    assert np.array_equal(stacked[2], gradients._hessian(field, points[2]))
+
+
+def test_a_separable_hessian_of_the_wrong_shape_is_refused():
+    field = replace(cosh_sum_field(3), hessian=lambda z: np.ones(3))
+    with pytest.raises(ValueError, match="hessian"):
+        gradients._hessian(field, np.zeros((7, 3)))
+
+
+def test_hessian_follows_name_so_positional_construction_is_unchanged():
+    names = list(ScalarField.__dataclass_fields__)
+    assert names[-2:] == ["name", "hessian"]
+    field = ScalarField(1, lambda z: 0.0, lambda z: np.zeros(1), "general", None, "V")
+    assert field.name == "V" and field.hessian is None
+
+
+def step(dae, scheme, z0, dt=0.1):
+    residual, jacobian = integrators._bind(dae, scheme).build(z0, dt)
+    return residual, jacobian, integrators._bind(dae, scheme).extra
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("field", ["cosh", "quartic"])
+@pytest.mark.parametrize("at", ["apart", "coincident"])
+def test_analytic_jacobian_matches_the_difference_jacobian(scheme, field, at):
+    dae, z0 = lattice(field)
+    residual, jacobian, extra = step(dae, scheme, z0)
+    assert jacobian is not None
+    z1 = z0 if at == "coincident" else z0 + 0.05 * np.cos(np.arange(GRID))
+    w = np.concatenate([z1, 0.01 * np.ones(extra)])
+    r0 = residual(w)
+    J = jacobian(w)
+    differences = integrators._fd_jacobian(residual, w, r0)
+    assert J.shape == differences.shape == (GRID + extra,) * 2
+    assert np.abs(J - differences).max() <= 1e-6 * np.abs(J).max()
+    # after the difference columns the base evaluates z1 afresh, alike
+    assert np.array_equal(jacobian(w), J)
+
+
+def test_degenerate_curvature_takes_differences():
+    # a linear V declared general has a zero curvature term: the proper
+    # gradient falls back, its derivative is None, and the step's
+    # Jacobian is taken by differences
+    gamma = np.array([1.0, 2.0])
+    V = ScalarField(dim=2, value=lambda z: float(gamma @ z), gradient=lambda z: gamma.copy(),
+                    hint="general", name="V", hessian=lambda z: np.zeros(2))
+    z0, z1 = np.array([1.0, 0.0]), np.array([0.9, 0.1])
+    base = gradients._PreparedBase(gradients._PROPER, V, z0)
+    assert base(z1)[1] is True
+    assert base.derivative(z1) is None
+    assert base.derivative(z0)[0].tolist() == [0.0, 0.0]  # coincidence: h / 2
+    S = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    dae = LinearGradientDAE(np.eye(2), lambda z: S, V, structure_claim="conservative")
+    residual, jacobian, _ = step(dae, "dg-index1", z0)
+    residual(z1)
+    assert jacobian(z1) is None
+
+
+def runs(monkeypatch, dae, scheme, z0, steps=10):
+    """The run as it is, with every Jacobian result recorded, and the run
+    with every Jacobian taken by differences."""
+    real = integrators.newton_solve
+    built = []
+
+    def recorded(residual, w0, *args, jacobian=None, **kwargs):
+        def wrapped(w):
+            built.append(jacobian(w))
+            return built[-1]
+
+        return real(residual, w0, *args, **kwargs, jacobian=None if jacobian is None else wrapped)
+
+    def differences(residual, w0, *args, jacobian=None, **kwargs):
+        return real(residual, w0, *args, **kwargs)
+
+    out = []
+    for newton in (recorded, differences):
+        monkeypatch.setattr(integrators, "newton_solve", newton)
+        out.append(integrate(dae, scheme, z0, 0.1, steps))
+    return out, built
+
+
+def assert_same_run(a, b):
+    assert np.array_equal(a.states(), b.states())
+    for x, y in zip(a.records, b.records):
+        assert (x.newton_iters, x.newton_residual) == (y.newton_iters, y.newton_residual)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_field_without_hessian_stays_on_differences(scheme, monkeypatch):
+    dae, z0 = lattice("cosh")
+    dae = replace(dae, V=replace(dae.V, hessian=None))
+    assert step(dae, scheme, z0)[1] is None
+    (run, reference), built = runs(monkeypatch, dae, scheme, z0)
+    assert built == []
+    assert_same_run(run, reference)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_state_dependent_structure_stays_on_differences(scheme, monkeypatch):
+    dae, z0 = lattice("cosh")
+    S0 = dae.S(z0)
+    dae = replace(dae, S=lambda z: (1.0 + 0.1 * np.sin(z[0])) * S0)
+    (run, reference), built = runs(monkeypatch, dae, scheme, z0)
+    assert len(built) >= 10 and all(J is None for J in built)
+    assert_same_run(run, reference)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("field", ["cosh", "quartic"])
+def test_analytic_run_keeps_the_difference_runs_iterations_and_accuracy(scheme, field,
+                                                                        monkeypatch):
+    dae, z0 = lattice(field)
+    (run, reference), built = runs(monkeypatch, dae, scheme, z0, steps=20)
+    assert len(built) == sum(r.newton_iters for r in run.records)
+    assert all(J is not None for J in built)
+    assert all(x.newton_iters <= y.newton_iters for x, y in zip(run.records, reference.records))
+    assert np.abs(run.states() - reference.states()).max() <= 1e-12
+    V = [dae.V.value(z) for z in run.states()]
+    assert np.abs(np.array(V) - V[0]).max() <= 1e-12 * max(1.0, abs(V[0]))

@@ -356,3 +356,35 @@ def test_host_summary_is_written_beside_the_workload_summary(tmp_path):
     # every dict in the workload's summary is still a metric
     summary = result["summary"]["small-systems"]
     assert all("meets_gain_rule" in v for v in summary.values() if isinstance(v, dict))
+
+
+def test_each_run_compiles_under_a_fresh_pycache_prefix_of_its_own(tmp_path):
+    # each stub run records the bytecode prefix it was given, whether that
+    # directory existed and was empty, and where it lies
+    checkouts = []
+    for name in ("parent", "change"):
+        checkout = _checkout(tmp_path, name)
+        run_py = checkout / "benchmarks" / "run.py"
+        run_py.write_text(
+            "import os, pathlib, sys\n"
+            "prefix = sys.pycache_prefix\n"
+            "with open(pathlib.Path(__file__).parent / 'prefixes', 'a') as f:\n"
+            "    f.write(f'{prefix}|{os.environ[\"PYTHONPYCACHEPREFIX\"] == prefix}|'\n"
+            "            f'{os.path.isdir(prefix) and not os.listdir(prefix)}\\n')\n"
+            + run_py.read_text()
+        )
+        checkouts.append(checkout)
+    argv = _argv(*checkouts, tmp_path / "out.json")
+    argv[argv.index("--pairs") + 1] = "2"
+    assert bench_pairs.main(argv) == 0
+    seen = []
+    for checkout in checkouts:
+        lines = (checkout / "benchmarks" / "prefixes").read_text().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            prefix, from_env, fresh = line.split("|")
+            assert from_env == fresh == "True"
+            assert not Path(prefix).exists()  # removed after its run
+            assert not Path(prefix).resolve().is_relative_to(tmp_path.resolve())
+            seen.append(prefix)
+    assert len(set(seen)) == 4

@@ -138,6 +138,32 @@ def test_newton_damped_with_callers_jacobian_makes_no_difference_columns():
         assert not any(np.array_equal(w, at + h) for w in residuals)
 
 
+def test_newton_jacobian_is_keyword_only():
+    def residual(w):
+        return np.array([w[0] - 1.0])
+
+    with pytest.raises(TypeError):
+        newton_solve(residual, np.zeros(1), NewtonConfig(), lambda w: np.eye(1))
+
+
+def test_newton_takes_differences_where_the_jacobian_returns_none():
+    # the caller's Jacobian declines the first iterate only: that iteration
+    # takes len(w) difference columns, the later ones none
+    residuals, jacobians = [], []
+    residual = _recorded(lambda w: np.array([w[0] ** 2 - 2.0, w[1] - 3.0]), residuals)
+
+    def jacobian(w):
+        jacobians.append(np.array(w))
+        return None if len(jacobians) == 1 else np.array([[2.0 * w[0], 0.0], [0.0, 1.0]])
+
+    sol = newton_solve(residual, np.array([1.0, 0.0]), jacobian=jacobian)
+    assert sol.w == pytest.approx([math.sqrt(2.0), 3.0], abs=1e-12)
+    assert len(jacobians) == sol.iters
+    assert len(residuals) == 1 + 2 + sol.iters  # no damping on this problem
+    h = np.sqrt(np.finfo(float).eps) * 2.0
+    assert np.array_equal(np.array(residuals[1:3]), np.array([[1.0 + h, 0.0], [1.0, h]]))
+
+
 def _fd_jacobian_by_columns(residual, w, r0):
     """The column-by-column loop that ``_fd_jacobian`` replaced, kept as the
     reference for how each entry is rounded."""
@@ -436,6 +462,21 @@ def test_index1_lattice_at_grid_128_conserves_and_stays_on_the_manifold():
     assert sum(r.newton_iters for r in traj.records) == 21
     assert np.abs(H - H[0]).max() <= 1e-12 * max(1.0, abs(H[0]))
     assert max(r.constraint_residual_norm for r in traj.records) <= 1e-10
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "friction"])
+def test_index1_scheme_is_refused_before_any_solve_where_the_system_is_not_index1(
+        problem, monkeypatch):
+    # both are index 3: their algebraic rows do not fix the null-space
+    # components, and the run used to fail mid-run with "step stagnated"
+    spec = make_problem(problem)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("newton_solve was called")
+
+    monkeypatch.setattr(integrators, "newton_solve", no_solve)
+    with pytest.raises(ValueError, match="index 1"):
+        integrate(spec.dae, "dg-index1", spec.default_initial_state, 0.1, 100)
 
 
 def test_index1_step_enforces_constraint_and_energy():

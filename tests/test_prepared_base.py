@@ -173,12 +173,14 @@ def counting(V, calls):
         value=count("value", V.value),
         gradient=count("gradient", V.gradient),
         divergence=None if V.divergence is None else count("divergence", V.divergence),
+        hessian=None if V.hessian is None else count("hessian", V.hessian),
     )
 
 
 def step_calls(monkeypatch, dae, scheme, z0, steps):
-    """Per step: the start ``z``, the field calls made by ``_advance`` and
-    its residual calls."""
+    """Per step: the start ``z``, the field calls made by ``_advance``, with
+    each analytic Jacobian build among them as ``("jacobian", w)``, and its
+    residual calls."""
     calls, residuals, steps_seen = [], [], []
     real_advance, real_newton = integrators._advance, integrators.newton_solve
 
@@ -189,12 +191,17 @@ def step_calls(monkeypatch, dae, scheme, z0, steps):
         steps_seen.append((z.copy(), list(calls), len(residuals)))
         return out
 
-    def newton(residual, w0, *args, **kwargs):
+    def newton(residual, w0, *args, jacobian=None, **kwargs):
         def counted(w):
             residuals.append(1)
             return residual(w)
 
-        return real_newton(counted, w0, *args, **kwargs)
+        def built(w):
+            calls.append(("jacobian", np.array(w)))
+            return jacobian(w)
+
+        return real_newton(counted, w0, *args, **kwargs,
+                           jacobian=None if jacobian is None else built)
 
     monkeypatch.setattr(integrators, "_advance", advance)
     monkeypatch.setattr(integrators, "newton_solve", newton)
@@ -207,10 +214,16 @@ def test_index1_step_evaluates_one_gradient_per_residual(monkeypatch):
     for z, calls, residuals in step_calls(monkeypatch, spec.dae, "dg-index1",
                                           spec.default_initial_state, 2):
         kinds = [kind for kind, _ in calls]
-        assert residuals > 16
-        # grad V(z0) when the step prepares its base, and grad V(z0) and
-        # grad V(z1) in the fallback check on the accepted state
+        builds = kinds.count("jacobian")
+        # analytic Jacobians: no difference columns, which would take 17
+        # residuals per build
+        assert 1 <= builds and residuals < 17
+        # one grad V(z1) per residual and none per Jacobian build, which
+        # reads the last residual's; grad V(z0) when the step prepares its
+        # base, and grad V(z0) and grad V(z1) in the fallback check on the
+        # accepted state
         assert kinds.count("gradient") == residuals + 3
+        assert kinds.count("hessian") == builds
         # the step's preparation and the fallback check's
         divergences = [u for kind, u in calls if kind == "divergence"]
         assert len(divergences) == 2 and np.array_equal(divergences[0], z)
@@ -233,7 +246,8 @@ def test_midpoint_step_evaluates_the_base_value_once(monkeypatch):
 class PerCallBase(gradients._PreparedBase):
     """Keeps the base point only, and evaluates the per-call formulas at
     every call; ``grad`` is a fresh ``grad V(z)``, as the constraint row
-    evaluated it before the base was prepared."""
+    evaluated it before the base was prepared.  Its ``derivative`` comes
+    from a fresh prepared base at each call, with that base's ``hess``."""
 
     def __init__(self, kind, V, zp):
         self.variant, self.V, self.zp = kind.variant, V, np.asarray(zp, dtype=float)
@@ -241,6 +255,12 @@ class PerCallBase(gradients._PreparedBase):
     def __call__(self, z):
         self.grad = gradients._gradient(self.V, z)
         return per_call_discrete_gradient(self.variant, self.V, z, self.zp)
+
+    def derivative(self, z):
+        fresh = gradients._PreparedBase(DiscreteGradientKind(self.variant), self.V, self.zp)
+        out = fresh.derivative(z)
+        self.hess = fresh.hess
+        return out
 
 
 @pytest.mark.parametrize("problem, scheme, steps", [

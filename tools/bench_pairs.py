@@ -15,6 +15,10 @@ the benchmark code of its own checkout.  The two checkouts' resolved
 paths must have the same length, or the script exits with status 2 before
 any run: ``lattice-index1`` read about 4 % apart between identical
 checkouts whose paths differed in length.  ``method`` records both paths.
+Every run gets a ``PYTHONPYCACHEPREFIX`` of its own, a fresh temporary
+directory removed after it, so both sides compile their code alike:
+bytecode left in a checkout's ``__pycache__`` is never read, and stale
+bytecode cannot make one side's imports slower than the other's.
 
 The output holds ``what``, ``method`` and ``host``; a ``summary`` per
 workload with, for every end-to-end metric of ``BENCHMARK.json``, each
@@ -60,6 +64,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,16 +124,18 @@ def host_figures(lines: list[str]) -> dict:
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``benchmarks/run.py`` run: its last stdout line, with ``runs`` from
-    :func:`run_summaries` and the fields of :func:`host_figures` added, or
-    an error record."""
+    """One ``benchmarks/run.py`` run, with a fresh ``PYTHONPYCACHEPREFIX``:
+    its last stdout line, with ``runs`` from :func:`run_summaries` and the
+    fields of :func:`host_figures` added, or an error record."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    try:
-        proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_FLOOR_S + RUN_TIMEOUT_FACTOR * seconds)
-    except subprocess.TimeoutExpired:
-        return {"correct": False, "error": "timed out"}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        try:
+            proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPYCACHEPREFIX=cache),
+                                  timeout=RUN_TIMEOUT_FLOOR_S + RUN_TIMEOUT_FACTOR * seconds)
+        except subprocess.TimeoutExpired:
+            return {"correct": False, "error": "timed out"}
     lines = proc.stdout.strip().splitlines()
     try:
         record = json.loads(lines[-1])
