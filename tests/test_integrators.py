@@ -468,7 +468,7 @@ def test_index1_lattice_at_grid_128_conserves_and_stays_on_the_manifold():
 def test_index1_scheme_is_refused_before_any_solve_where_the_system_is_not_index1(
         problem, monkeypatch):
     # both are index 3: their algebraic rows do not fix the null-space
-    # components, and the run used to fail mid-run with "step stagnated"
+    # components, and a run would fail mid-run with "step stagnated"
     spec = make_problem(problem)
 
     def no_solve(*args, **kwargs):
