@@ -109,7 +109,10 @@ class ScalarField:
     Under the ``"separable"`` hint it must also map a ``(k, dim)`` stack of
     points row by row, as ``gradient`` does; any other field is read one
     point at a time.  Supplying it lets the integrators build their Newton
-    Jacobians from it rather than from forward differences.
+    Jacobians from it rather than from forward differences: through the
+    averaged and interior-division gradients of any such field, and through
+    the midpoint gradient of a ``"quadratic"`` one, whose Hessian is
+    constant (``gonzalez`` needs it on ``H`` and on every constraint).
     """
 
     dim: int
@@ -417,10 +420,14 @@ class _PreparedBase:
         """``d gbar(z, zp) / dz`` as ``(diagonal, rank_one)``, meaning
         ``diag(diagonal) + outer(*rank_one)`` (``rank_one`` may be None), or
         None where it is not available: a field without ``hessian``, the
-        midpoint gradient, or a proper gradient that falls back at ``z``.
+        midpoint gradient of a field not hinted ``"quadratic"``, or a proper
+        gradient that falls back at ``z``.
 
-        For the average vector field it is ``sum_i w_i c_i grad^2 V(p_i)``
-        over the quadrature nodes ``p_i = zp + c_i (z - zp)``.  For the proper
+        For the midpoint gradient of a quadratic field, ``grad V`` at the
+        midpoint ``m``, it is ``grad^2 V(m) / 2``, exact because the gradient
+        is affine.  For the average vector field it is
+        ``sum_i w_i c_i grad^2 V(p_i)`` over the quadrature nodes
+        ``p_i = zp + c_i (z - zp)``.  For the proper
         gradient, with ``u = grad V(z) - grad V(zp)``, ``delta = z - zp`` and
         ``h = grad^2 V(z)``, it is ``theta h + outer(u, dtheta)`` where
         ``dtheta = (u - theta (u + h delta)) / den`` and ``den`` is the
@@ -429,9 +436,11 @@ class _PreparedBase:
         otherwise makes the call; it leaves ``grad^2 V(z)`` in ``hess``.
         """
         V, zp = self.V, self.zp
-        if V.hessian is None or self.variant == "midpoint":
+        if V.hessian is None or (self.variant == "midpoint" and V.hint != "quadratic"):
             return None
         z = _point(V, z)
+        if self.variant == "midpoint":
+            return 0.5 * _hessian(V, 0.5 * (z + zp)), None
         if self.variant == "avf":
             nodes, weights = _avf_rule()
             return (weights * nodes) @ _hessian(V, zp + nodes[:, None] * (z - zp)), None

@@ -1,9 +1,11 @@
 """One-step integrators for linear-gradient DAE systems.
 
 Every scheme solves one residual per step with a damped Newton iteration.
-Its Jacobian is analytic for a discrete-gradient scheme other than
-``dg-midpoint`` and ``gonzalez`` on a field that supplies its ``hessian``
-and a constant ``S``; every other iteration takes forward differences.
+Its Jacobian is analytic for a discrete-gradient scheme on a constant
+``S`` whose gradient has a derivative: ``dg-avf``, ``dg-proper`` and
+``dg-index1`` on a field that supplies its ``hessian``, ``dg-midpoint`` on
+such a field hinted ``"quadratic"``, and ``gonzalez`` when ``H`` and every
+constraint are; every other iteration takes forward differences.
 The schemes, by name:
 
 * ``implicit-euler`` - ``A (z1 - z0) = dt f(z1)``; conserves any linear
@@ -36,6 +38,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -54,6 +57,7 @@ from .gradients import (
     ScalarField,
     _MIDPOINT,
     _PreparedBase,
+    _gradient,
     discrete_gradient_info,
     midpoint_gradient,  # unused here; benchmarks/spans.py traces this attribute
 )
@@ -243,16 +247,19 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     ``grad V(z1)`` that the interior-division gradient evaluated, and forms
     ``B^T S(z0)`` once per step for a constant ``S``.
 
-    With a field ``hessian``, ``dg-avf``, ``dg-proper`` and ``dg-index1``
-    build an analytic Jacobian from the prepared base's
+    With a field ``hessian`` (for ``gonzalez``, on ``H`` and every
+    constraint), every scheme builds an analytic Jacobian ``A / dt - S
+    dgbar/dz1`` from the gradient's derivative.  The prepared base's
     :meth:`~daegrad.gradients._PreparedBase.derivative` ``diag(k) +
-    outer(u, v)``: ``A / dt - S * k - outer(S u, v)``, in ``O(d^2)``, and
-    for ``dg-index1`` the block ``[[that, -B], [(B^T S) * grad^2 V(z1), 0]]``.
-    It holds only for a constant ``S``: where ``S(z1)`` is ``S(z0)``, or
-    where ``S(z1)`` and ``S(z0 + 1)`` both equal ``S(z0)`` entry by entry
-    (equality at ``z1`` alone would pass at ``z1 = z0`` for any ``S``).
-    There the single product and the average agree bit for bit.  Elsewhere,
-    and where the derivative is None, it returns None.
+    outer(u, v)`` gives ``A / dt - S * k - outer(S u, v)``, in ``O(d^2)``,
+    and for ``dg-index1`` the block ``[[that, -B], [(B^T S) * grad^2 V(z1),
+    0]]``; Gonzalez's dense derivative (:func:`_augmented_gradient`) gives
+    ``A / dt - S @ D``.  It holds only for a constant ``S``: where
+    ``S(z1)`` is ``S(z0)``, or where ``S(z1)`` and ``S(z0 + 1)`` both equal
+    ``S(z0)`` entry by entry (equality at ``z1`` alone would pass at
+    ``z1 = z0`` for any ``S``); ``S(z0 + 1)`` is evaluated at most once per
+    step.  There the single product and the average agree bit for bit.
+    Elsewhere, and where the derivative is None, it returns None.
     """
     if not isinstance(dae, LinearGradientDAE):
         raise ValueError(f"scheme {scheme!r} needs a linear-gradient system")
@@ -267,9 +274,10 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     def build(z, dt):
         S0 = dae.S(z)
         if kind is None:
-            gradient = gradient_from(z)
+            gradient, derivative = gradient_from(z)
         else:
             base = _PreparedBase(kind, V, z)
+            derivative = None if V.hessian is None else base.derivative
 
             def gradient(zp):
                 return discrete_gradient_info(kind, V, zp, base)[0]
@@ -288,19 +296,24 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             constraint = (BtS0 if S1 is S0 else B.T @ S1) @ base.grad
             return np.concatenate([dyn - B @ w[d:], constraint])
 
-        if kind is None or V.hessian is None or kind.variant == "midpoint":
+        if derivative is None:
             return residual, None
         A_dt = A / dt
+
+        @cache
+        def constant_away() -> bool:
+            # S(z0 + 1) does not depend on the iterate: probed once per step
+            return np.array_equal(dae.S(z + 1.0), S0)
 
         def jacobian(w):
             zp = w[:d]
             S1 = dae.S(zp)
-            constant = S1 is S0 or (np.array_equal(S1, S0) and np.array_equal(dae.S(z + 1.0), S0))
-            part = base.derivative(zp) if constant else None
+            constant = S1 is S0 or (np.array_equal(S1, S0) and constant_away())
+            part = derivative(zp) if constant else None
             if part is None:
                 return None
             diagonal, rank_one = part
-            J = A_dt - S0 * diagonal
+            J = A_dt - (S0 @ diagonal if diagonal.ndim == 2 else S0 * diagonal)
             if rank_one is not None:
                 J -= np.outer(S0 @ rank_one[0], rank_one[1])
             if not index1:
@@ -318,7 +331,8 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
 
 
 def _augmented_gradient(dae):
-    """``z0 -> (z1 -> gbar)``: Gonzalez's discrete gradient of ``V = H(x) + lam^T g(x)``.
+    """``z0 -> (z1 -> gbar, derivative)``: Gonzalez's discrete gradient of
+    ``V = H(x) + lam^T g(x)`` and its derivative in ``z1``.
 
     With ``lam = E^T z`` and ``x = z - E lam`` as in :class:`LinearGradientDAE`,
     ``gbar = P (Hbar + sum_j lam_bar_j gbar_j) + E g_bar``, where ``Hbar`` and
@@ -327,6 +341,13 @@ def _augmented_gradient(dae):
     rule holds exactly: ``lam1 g1 - lam0 g0 = lam_bar (g1 - g0) + g_bar (lam1 - lam0)``.
     Each step prepares one midpoint base per field at ``x0``, and each
     residual calls every base once through ``discrete_gradient_info``.
+
+    ``derivative(z1)`` composes the bases' derivatives ``k_H`` and ``k_j``
+    into the dense ``(P (k_H + sum_j lam_bar_j k_j) P + (P Gbar E^T +
+    E G1^T P) / 2, None)``, with ``gbar_j`` the columns of ``Gbar`` and
+    ``grad g_j(x1)`` those of ``G1``; it is None where a base's derivative
+    is, and ``derivative`` itself is None unless every field has a
+    ``hessian``.
     """
     H, constraints, E = dae.hamiltonian, dae.constraints, dae.subspaces.null_basis
     if H is None:
@@ -336,6 +357,8 @@ def _augmented_gradient(dae):
                          f"direction; nullity {E.shape[1]}, {len(constraints)} constraints")
 
     P = np.eye(dae.dim) - E @ E.T
+    fields = (H, *constraints)
+    analytic = all(field.hessian is not None for field in fields)
 
     def split(z):
         x = P @ z
@@ -343,7 +366,7 @@ def _augmented_gradient(dae):
 
     def gradient_from(z):
         x0, lam0, g0 = split(z)
-        bases = [_PreparedBase(_MIDPOINT, field, x0) for field in (H, *constraints)]
+        bases = [_PreparedBase(_MIDPOINT, field, x0) for field in fields]
 
         def gradient(zp):
             x1, lam1, g1 = split(zp)
@@ -352,7 +375,19 @@ def _augmented_gradient(dae):
                 w = w + lam_j * discrete_gradient_info(_MIDPOINT, g, x1, base)[0]
             return P @ w + E @ (0.5 * (g1 + g0))
 
-        return gradient
+        def derivative(zp):
+            x1, lam1 = P @ zp, E.T @ zp
+            parts = [base.derivative(x1) for base in bases]
+            if any(part is None for part in parts):
+                return None
+            k = parts[0][0]
+            for lam_j, (k_j, _) in zip(0.5 * (lam1 + lam0), parts[1:]):
+                k = k + lam_j * k_j
+            Gbar = np.array([base(x1)[0] for base in bases[1:]]).T
+            G1 = np.array([_gradient(g, x1) for g in constraints]).T
+            return (P * k) @ P + 0.5 * (P @ Gbar @ E.T + E @ G1.T @ P), None
+
+        return gradient, derivative if analytic else None
 
     return gradient_from
 

@@ -141,7 +141,8 @@ def _pendulum_fields() -> tuple[ScalarField, ScalarField, ScalarField]:
     def h_gradient(z):
         return np.concatenate([[0.0, 1.0], z[2:4], [0.0]])
 
-    H = ScalarField(dim=5, value=h_value, gradient=h_gradient, hint="quadratic", name="H")
+    H = ScalarField(dim=5, value=h_value, gradient=h_gradient, hint="quadratic", name="H",
+                    hessian=lambda z: np.array([0.0, 0.0, 1.0, 1.0, 0.0]))
 
     g = ScalarField(
         dim=5,
@@ -149,6 +150,7 @@ def _pendulum_fields() -> tuple[ScalarField, ScalarField, ScalarField]:
         gradient=lambda z: np.concatenate([z[:2], np.zeros(3)]),
         hint="quadratic",
         name="g",
+        hessian=lambda z: np.array([1.0, 1.0, 0.0, 0.0, 0.0]),
     )
 
     def v_value(z):

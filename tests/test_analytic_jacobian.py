@@ -2,7 +2,9 @@
 
 A field that supplies ``hessian`` (the diagonal of ``grad^2 V``) lets
 ``dg-avf``, ``dg-proper`` and ``dg-index1`` build their Newton Jacobians
-from the prepared base's ``derivative`` instead of forward differences.
+from the prepared base's ``derivative`` instead of forward differences,
+and ``gonzalez`` when ``H`` and every constraint supply one and are hinted
+quadratic.
 The references here are the difference Jacobian of the same residual, and
 whole runs with every Jacobian taken by differences.
 """
@@ -14,7 +16,13 @@ import pytest
 
 import daegrad.integrators as integrators
 from daegrad import gradients
-from daegrad.gradients import ScalarField, convex_quartic_field, cosh_sum_field
+from daegrad.gradients import (
+    ScalarField,
+    convex_quartic_field,
+    cosh_sum_field,
+    midpoint_gradient,
+    quadratic_field,
+)
 from daegrad.integrators import integrate
 from daegrad.model import LinearGradientDAE
 from daegrad.problems import make_problem
@@ -170,3 +178,132 @@ def test_analytic_run_keeps_the_difference_runs_iterations_and_accuracy(scheme, 
     assert np.abs(run.states() - reference.states()).max() <= 1e-12
     V = [dae.V.value(z) for z in run.states()]
     assert np.abs(np.array(V) - V[0]).max() <= 1e-12 * max(1.0, abs(V[0]))
+
+
+# ------------------------------------------------------------- Gonzalez
+
+
+def test_quadratic_midpoint_derivative_is_the_derivative_of_the_midpoint_gradient():
+    X = np.diag([2.0, 0.5, 0.0, 3.0])
+    V = replace(quadratic_field(X, linear=[1.0, -1.0, 0.5, 0.0]), hessian=lambda z: np.diag(X))
+    z, zp = np.array([0.3, -1.2, 0.7, 2.0]), np.array([-0.5, 0.4, 1.1, -0.2])
+    for at in (z, zp):  # apart and coincident
+        base = gradients._PreparedBase(gradients._MIDPOINT, V, zp)
+        diagonal, rank_one = base.derivative(at)
+        assert rank_one is None
+        h = 1e-6
+        differences = [(midpoint_gradient(V, at + h * e, zp) - midpoint_gradient(V, at - h * e, zp))
+                       / (2 * h) for e in np.eye(4)]
+        np.testing.assert_allclose(np.diag(diagonal), np.array(differences).T,
+                                   rtol=1e-8, atol=1e-8)
+    # a curved field's midpoint gradient has no analytic derivative
+    curved = gradients._PreparedBase(gradients._MIDPOINT, cosh_sum_field(4), zp)
+    assert curved.derivative(z) is None
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "friction"])
+@pytest.mark.parametrize("at", ["apart", "coincident"])
+def test_gonzalez_jacobian_matches_the_difference_jacobian(problem, at):
+    spec = make_problem(problem)
+    for z0 in (spec.default_initial_state,
+               spec.sample_on_manifold(np.random.default_rng(7), 1)[0]):
+        residual, jacobian, extra = step(spec.dae, "gonzalez", z0)
+        assert jacobian is not None and extra == 0
+        w = z0 if at == "coincident" else z0 + 0.05 * np.cos(np.arange(5.0))
+        J = jacobian(w)
+        differences = integrators._fd_jacobian(residual, w, residual(w))
+        assert J.shape == differences.shape == (5, 5)
+        assert np.abs(J - differences).max() <= 1e-6 * np.abs(J).max()
+
+
+def without_hessian(dae, which):
+    if which == "H":
+        return replace(dae, hamiltonian=replace(dae.hamiltonian, hessian=None))
+    return replace(dae, constraints=tuple(replace(g, hessian=None) for g in dae.constraints))
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "friction"])
+@pytest.mark.parametrize("which", ["H", "g"])
+def test_gonzalez_without_a_hessian_stays_on_differences(problem, which, monkeypatch):
+    spec = make_problem(problem)
+    dae, z0 = without_hessian(spec.dae, which), spec.default_initial_state
+    assert step(dae, "gonzalez", z0)[1] is None
+    (run, reference), built = runs(monkeypatch, dae, "gonzalez", z0, steps=20)
+    assert built == []
+    assert_same_run(run, reference)
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "friction"])
+def test_gonzalez_builds_every_jacobian_analytically(problem, monkeypatch):
+    spec = make_problem(problem)
+    (run, reference), built = runs(monkeypatch, spec.dae, "gonzalez",
+                                   spec.default_initial_state, steps=20)
+    assert len(built) == sum(r.newton_iters for r in run.records)
+    assert all(J is not None for J in built)
+    assert all(x.newton_iters <= y.newton_iters for x, y in zip(run.records, reference.records))
+    # positions and velocities agree to the solver's tolerance 1e-12; the
+    # multipliers, of which the scheme fixes only the average, are compared
+    # through that average, which enters the residual as dt lam_bar q with
+    # |q| = 1, so to 1e-12 / dt
+    states, reference_states = run.states(), reference.states()
+    assert np.abs(states[:, :4] - reference_states[:, :4]).max() <= 1e-12
+    lam_bar = 0.5 * (states[1:, 4] + states[:-1, 4])
+    reference_lam_bar = 0.5 * (reference_states[1:, 4] + reference_states[:-1, 4])
+    assert np.abs(lam_bar - reference_lam_bar).max() <= 1e-12 / 0.1
+
+
+def test_dg_midpoint_on_the_augmented_energy_takes_differences():
+    spec = make_problem("friction")
+    assert spec.dae.V.hessian is None
+    assert step(spec.dae, "dg-midpoint", spec.default_initial_state)[1] is None
+
+
+# ----------------------------------------------------- S calls per step
+
+
+@pytest.mark.parametrize("problem, scheme", [
+    ("pendulum", "gonzalez"),
+    ("sinh-gordon", "dg-avf"),
+    ("sinh-gordon", "dg-index1"),
+])
+def test_a_fresh_copy_structure_is_probed_away_from_z0_once_per_step(problem, scheme,
+                                                                     monkeypatch):
+    # S returns an equal copy at every call, so each Jacobian build compares
+    # S(z1) with S(z0) and needs S(z0 + 1) as well, which does not depend on
+    # the iterate: one probe per step, on top of S(z0), one S per residual
+    # and one per build
+    spec = make_problem(problem, grid=GRID if problem == "sinh-gordon" else None)
+    S0 = spec.dae.S(spec.default_initial_state)
+    s_calls, residuals, builds, steps = [], [], [], []
+
+    def S(z):
+        s_calls.append(1)
+        return S0.copy()
+
+    real_advance, real_newton = integrators._advance, integrators.newton_solve
+
+    def advance(*args, **kwargs):
+        for seen in (s_calls, residuals, builds):
+            seen.clear()
+        out = real_advance(*args, **kwargs)
+        steps.append((len(s_calls), len(residuals), len(builds)))
+        return out
+
+    def newton(residual, w0, *args, jacobian=None, **kwargs):
+        def counted(w):
+            residuals.append(1)
+            return residual(w)
+
+        def built(w):
+            builds.append(1)
+            return jacobian(w)
+
+        return real_newton(counted, w0, *args, **kwargs, jacobian=built)
+
+    monkeypatch.setattr(integrators, "_advance", advance)
+    monkeypatch.setattr(integrators, "newton_solve", newton)
+    integrate(replace(spec.dae, S=S), scheme, spec.default_initial_state, 0.1, 3)
+    assert len(steps) == 3
+    for s, r, b in steps:
+        assert b >= 2  # so that a probe per build would show
+        assert s == 1 + r + b + 1

