@@ -38,7 +38,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cache
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -300,15 +299,17 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             return residual, None
         A_dt = A / dt
 
-        @cache
-        def constant_away() -> bool:
-            # S(z0 + 1) does not depend on the iterate: probed once per step
-            return np.array_equal(dae.S(z + 1.0), S0)
+        away = None  # does S(z0 + 1) equal S(z0)? It does not depend on the iterate
 
         def jacobian(w):
+            nonlocal away
             zp = w[:d]
             S1 = dae.S(zp)
-            constant = S1 is S0 or (np.array_equal(S1, S0) and constant_away())
+            constant = S1 is S0
+            if not constant and np.array_equal(S1, S0):
+                if away is None:
+                    away = np.array_equal(dae.S(z + 1.0), S0)
+                constant = away
             part = derivative(zp) if constant else None
             if part is None:
                 return None
