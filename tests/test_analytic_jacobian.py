@@ -201,6 +201,19 @@ def test_quadratic_midpoint_derivative_is_the_derivative_of_the_midpoint_gradien
     assert curved.derivative(z) is None
 
 
+def test_dg_midpoint_on_a_quadratic_field_with_hessian_is_analytic():
+    X = np.diag([2.0, 0.5, 1.0])
+    V = replace(quadratic_field(X), hessian=lambda z: np.diag(X))
+    S = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, -0.5]])
+    dae = LinearGradientDAE(np.eye(3), lambda z: S, V, structure_claim="dissipative")
+    z0 = np.array([1.0, -0.5, 0.25])
+    residual, jacobian, _ = step(dae, "dg-midpoint", z0)
+    w = z0 + np.array([0.05, -0.02, 0.03])
+    J = jacobian(w)
+    differences = integrators._fd_jacobian(residual, w, residual(w))
+    assert np.abs(J - differences).max() <= 1e-6 * np.abs(J).max()
+
+
 @pytest.mark.parametrize("problem", ["pendulum", "friction"])
 @pytest.mark.parametrize("at", ["apart", "coincident"])
 def test_gonzalez_jacobian_matches_the_difference_jacobian(problem, at):
