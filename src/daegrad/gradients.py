@@ -357,6 +357,11 @@ def _hessian(V: ScalarField, z) -> np.ndarray:
     return h
 
 
+def _has_derivative(variant: str, V: ScalarField) -> bool:
+    """Whether the discrete gradient ``variant`` of ``V`` has a derivative."""
+    return V.hessian is not None and (variant != "midpoint" or V.hint == "quadratic")
+
+
 @cache
 def _avf_rule() -> tuple[np.ndarray, np.ndarray]:
     # built on first use, so that ``import daegrad`` need not load numpy.polynomial
@@ -373,8 +378,8 @@ class _PreparedBase:
     (a proper gradient with a divergence reads it only on a fallback).
     Calling the base at ``z`` returns ``(gbar(z, zp), fell_back)``; a proper
     gradient leaves ``grad V(z)``, evaluated once per call, in ``grad``,
-    and keeps ``z`` in ``at`` and what :meth:`derivative` needs of the
-    interior-division coefficient in ``theta``.
+    ``z`` in ``at`` and its interior-division coefficient, None after a
+    fallback, in ``theta``, for :meth:`fell_back` and :meth:`derivative`.
     """
 
     __slots__ = ("variant", "V", "zp", "gp", "vp", "divergence", "grad", "at", "theta", "hess")
@@ -416,12 +421,19 @@ class _PreparedBase:
         self.theta = t1, den
         return t1 * g + t2 * self.gp, False
 
+    def fell_back(self, z) -> bool:
+        """``self(z)[1]``, read from the last call if that was at ``z``."""
+        if self.variant != "proper":
+            return False
+        if self.at is None or not np.array_equal(self.at, z):
+            self(z)
+        return self.theta is None
+
     def derivative(self, z):
         """``d gbar(z, zp) / dz`` as ``(diagonal, rank_one)``, meaning
         ``diag(diagonal) + outer(*rank_one)`` (``rank_one`` may be None), or
-        None where it is not available: a field without ``hessian``, the
-        midpoint gradient of a field not hinted ``"quadratic"``, or a proper
-        gradient that falls back at ``z``.
+        None where :func:`_has_derivative` says there is none, or where a
+        proper gradient falls back at ``z``.
 
         For the midpoint gradient of a quadratic field, ``grad V`` at the
         midpoint ``m``, it is ``grad^2 V(m) / 2``, exact because the gradient
@@ -432,11 +444,11 @@ class _PreparedBase:
         ``h = grad^2 V(z)``, it is ``theta h + outer(u, dtheta)`` where
         ``dtheta = (u - theta (u + h delta)) / den`` and ``den`` is the
         curvature term; at coincidence, or for an affine gradient, ``h / 2``.
-        It reads what the last call left when that call was at ``z``, and
-        otherwise makes the call; it leaves ``grad^2 V(z)`` in ``hess``.
+        Like :meth:`fell_back` it reads the last call or makes one, and
+        then leaves ``grad^2 V(z)`` in ``hess``.
         """
         V, zp = self.V, self.zp
-        if V.hessian is None or (self.variant == "midpoint" and V.hint != "quadratic"):
+        if not _has_derivative(self.variant, V):
             return None
         z = _point(V, z)
         if self.variant == "midpoint":
@@ -444,11 +456,9 @@ class _PreparedBase:
         if self.variant == "avf":
             nodes, weights = _avf_rule()
             return (weights * nodes) @ _hessian(V, zp + nodes[:, None] * (z - zp)), None
-        if self.at is None or not np.array_equal(self.at, z):
-            self(z)
-        h = self.hess = _hessian(V, z)
-        if self.theta is None:
+        if self.fell_back(z):
             return None
+        h = self.hess = _hessian(V, z)
         t1, den = self.theta
         if den is None:
             return t1 * h, None

@@ -23,7 +23,9 @@ The schemes, by name:
 
 ``integrate`` drives a run of any of them, records per-step diagnostics,
 and returns the partial trajectory inside a :class:`StepFailure` if a step
-fails mid-run.  The first Newton solve of a run starts at ``z0``.  From
+fails mid-run.  Whether a step's gradient fell back is what the step's own
+prepared gradient reports from its last call, with no second evaluation.
+The first Newton solve of a run starts at ``z0``.  From
 the second step on, it starts at the line ``2 z_m - z_{m-1}`` through the
 last two states, and solves again from ``z_m`` if that start fails.  A
 plain discrete-gradient scheme on a singular ``A`` leaves the null-space
@@ -57,6 +59,7 @@ from .gradients import (
     _MIDPOINT,
     _PreparedBase,
     _gradient,
+    _has_derivative,
     discrete_gradient_info,
     midpoint_gradient,  # unused here; benchmarks/spans.py traces this attribute
 )
@@ -189,22 +192,19 @@ def newton_solve(
 class _Scheme(NamedTuple):
     """A scheme bound to its target system.
 
-    ``build(z0, dt)`` returns the Newton residual of one step from ``z0``
-    and its analytic Jacobian, a map ``w ->`` array or None (differences at
-    that iterate), or None for differences throughout.  The unknown is the
-    new state followed by ``extra`` auxiliary components.  ``kind`` and
-    ``V`` name the interior-division gradient whose midpoint fallback is
-    reported (``kind`` is None for gradients that cannot fall back);
-    ``free_null_space`` marks a scheme that leaves the null-space
-    components of a singular mass matrix to the system's
+    ``build(z0, dt)`` returns the Newton residual of one step from ``z0``;
+    its analytic Jacobian, a map ``w ->`` array or None (differences at
+    that iterate), or None for differences throughout; and ``fell_back``
+    of the step's prepared discrete gradient, or None for implicit Euler
+    and ``gonzalez``.  The unknown is the new state followed by ``extra``
+    auxiliary components.  ``free_null_space`` marks a scheme that leaves
+    the null-space components of a singular mass matrix to the system's
     algebraic rows, so that a singular Newton Jacobian is reported as
     :class:`UnderdeterminedSystem`.
     """
 
     build: Callable
     extra: int = 0
-    kind: DiscreteGradientKind | None = None
-    V: ScalarField | None = None
     free_null_space: bool = False
 
 
@@ -223,7 +223,7 @@ def _implicit_euler(dae) -> _Scheme:
         def residual(zp):
             return A @ (zp - z) / dt - np.asarray(dae.f(zp), dtype=float)
 
-        return residual, None
+        return residual, None, None
 
     return _Scheme(build)
 
@@ -258,7 +258,8 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     ``S(z0)`` entry by entry (equality at ``z1`` alone would pass at
     ``z1 = z0`` for any ``S``); ``S(z0 + 1)`` is evaluated at most once per
     step.  There the single product and the average agree bit for bit.
-    Elsewhere, and where the derivative is None, it returns None.
+    Elsewhere, and where the derivative is None, it returns None; where
+    the gradient has none at all (``_has_derivative``), there is no Jacobian.
     """
     if not isinstance(dae, LinearGradientDAE):
         raise ValueError(f"scheme {scheme!r} needs a linear-gradient system")
@@ -273,10 +274,11 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     def build(z, dt):
         S0 = dae.S(z)
         if kind is None:
-            gradient, derivative = gradient_from(z)
+            (gradient, derivative), fell_back = gradient_from(z), None
         else:
             base = _PreparedBase(kind, V, z)
-            derivative = None if V.hessian is None else base.derivative
+            derivative = base.derivative if _has_derivative(kind.variant, V) else None
+            fell_back = base.fell_back
 
             def gradient(zp):
                 return discrete_gradient_info(kind, V, zp, base)[0]
@@ -296,7 +298,7 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             return np.concatenate([dyn - B @ w[d:], constraint])
 
         if derivative is None:
-            return residual, None
+            return residual, None, fell_back
         A_dt = A / dt
 
         away = None  # does S(z0 + 1) equal S(z0)? It does not depend on the iterate
@@ -321,14 +323,11 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
                 return J
             return np.block([[J, -B], [BtS0 * base.hess, np.zeros((B.shape[1],) * 2)]])
 
-        return residual, jacobian
+        return residual, jacobian, fell_back
 
     if index1:
-        return _Scheme(build, B.shape[1], kind, V)
-    if kind is None:
-        return _Scheme(build)
-    fallback_kind = kind if kind.variant == "proper" else None
-    return _Scheme(build, 0, fallback_kind, V, free_null_space=dae.subspaces.nullity > 0)
+        return _Scheme(build, B.shape[1])
+    return _Scheme(build, free_null_space=kind is not None and dae.subspaces.nullity > 0)
 
 
 def _augmented_gradient(dae):
@@ -346,9 +345,8 @@ def _augmented_gradient(dae):
     ``derivative(z1)`` composes the bases' derivatives ``k_H`` and ``k_j``
     into the dense ``(P (k_H + sum_j lam_bar_j k_j) P + (P Gbar E^T +
     E G1^T P) / 2, None)``, with ``gbar_j`` the columns of ``Gbar`` and
-    ``grad g_j(x1)`` those of ``G1``; it is None where a base's derivative
-    is, and ``derivative`` itself is None unless every field has a
-    ``hessian``.
+    ``grad g_j(x1)`` those of ``G1``; ``derivative`` itself is None unless
+    every field's midpoint gradient has a derivative (``_has_derivative``).
     """
     H, constraints, E = dae.hamiltonian, dae.constraints, dae.subspaces.null_basis
     if H is None:
@@ -359,7 +357,7 @@ def _augmented_gradient(dae):
 
     P = np.eye(dae.dim) - E @ E.T
     fields = (H, *constraints)
-    analytic = all(field.hessian is not None for field in fields)
+    analytic = all(_has_derivative("midpoint", field) for field in fields)
 
     def split(z):
         x = P @ z
@@ -378,11 +376,8 @@ def _augmented_gradient(dae):
 
         def derivative(zp):
             x1, lam1 = P @ zp, E.T @ zp
-            parts = [base.derivative(x1) for base in bases]
-            if any(part is None for part in parts):
-                return None
-            k = parts[0][0]
-            for lam_j, (k_j, _) in zip(0.5 * (lam1 + lam0), parts[1:]):
+            k, *ks = (base.derivative(x1)[0] for base in bases)
+            for lam_j, k_j in zip(0.5 * (lam1 + lam0), ks):
                 k = k + lam_j * k_j
             Gbar = np.array([base(x1)[0] for base in bases[1:]]).T
             G1 = np.array([_gradient(g, x1) for g in constraints]).T
@@ -406,9 +401,9 @@ def _advance(
 ) -> tuple[NewtonResult, bool]:
     """One step from ``z``: the accepted Newton solve, whose ``w`` is the new
     state followed by the ``extra`` components, and whether the gradient
-    fell back.  Newton starts at ``guess`` when given, and again at ``z`` if
-    that solve fails."""
-    residual, jacobian = bound.build(z, dt)
+    fell back there, as the step's own ``fell_back`` tells.  Newton starts
+    at ``guess`` when given, and again at ``z`` if that solve fails."""
+    residual, jacobian, fell_back = bound.build(z, dt)
     extra = np.zeros(bound.extra)
     sol = None
     if guess is not None:
@@ -426,16 +421,11 @@ def _advance(
                     "determine the null-space components; use the index-1 scheme"
                 ) from exc
             raise
-    fallback = False
-    if bound.kind is not None:
-        _, fallback = discrete_gradient_info(bound.kind, bound.V, sol.w[: z.shape[0]], z)
+    fallback = fell_back is not None and fell_back(sol.w[: z.shape[0]])
     if fallback:
-        warnings.warn(
-            "interior-division gradient fell back to the midpoint form; "
-            "exact conservation is compromised for this step",
-            FallbackCompromisedConservation,
-            stacklevel=3,
-        )
+        warnings.warn("interior-division gradient fell back to the midpoint form; "
+                      "exact conservation is compromised for this step",
+                      FallbackCompromisedConservation, stacklevel=3)
     return sol, fallback
 
 

@@ -76,7 +76,7 @@ def test_hessian_follows_name_so_positional_construction_is_unchanged():
 
 
 def step(dae, scheme, z0, dt=0.1):
-    residual, jacobian = integrators._bind(dae, scheme).build(z0, dt)
+    residual, jacobian, _ = integrators._bind(dae, scheme).build(z0, dt)
     return residual, jacobian, integrators._bind(dae, scheme).extra
 
 
@@ -263,6 +263,31 @@ def test_gonzalez_builds_every_jacobian_analytically(problem, monkeypatch):
     lam_bar = 0.5 * (states[1:, 4] + states[:-1, 4])
     reference_lam_bar = 0.5 * (reference_states[1:, 4] + reference_states[:-1, 4])
     assert np.abs(lam_bar - reference_lam_bar).max() <= 1e-12 / 0.1
+
+
+@pytest.mark.parametrize("problem, scheme", [("sinh-gordon", "dg-midpoint"),
+                                             ("pendulum", "gonzalez")])
+def test_a_gradient_without_a_derivative_passes_no_jacobian(problem, scheme, monkeypatch):
+    # the cosh sum's midpoint gradient, and Gonzalez's with H hinted
+    # "general", have no derivative though every field has a hessian: each
+    # step passes newton_solve no Jacobian, as the hessian-stripped twin does
+    spec = make_problem(problem, grid=GRID if problem == "sinh-gordon" else None)
+    dae = spec.dae
+    if scheme == "gonzalez":
+        dae = replace(dae, hamiltonian=replace(dae.hamiltonian, hint="general"))
+        twin = replace(dae, hamiltonian=replace(dae.hamiltonian, hessian=None))
+    else:
+        twin = replace(dae, V=replace(dae.V, hessian=None))
+    real, passed = integrators.newton_solve, []
+
+    def recorded(residual, w0, *args, jacobian=None, **kwargs):
+        passed.append(jacobian)
+        return real(residual, w0, *args, **kwargs, jacobian=jacobian)
+
+    monkeypatch.setattr(integrators, "newton_solve", recorded)
+    run = integrate(dae, scheme, spec.default_initial_state, 0.1, 2)
+    assert len(passed) >= 2 and all(jacobian is None for jacobian in passed)
+    assert_same_run(run, integrate(twin, scheme, spec.default_initial_state, 0.1, 2))
 
 
 def test_dg_midpoint_on_the_augmented_energy_takes_differences():

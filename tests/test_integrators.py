@@ -1,6 +1,7 @@
 """Tests for the Newton kernel, one-step maps, and the driver."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,13 @@ from daegrad.errors import (
 )
 import daegrad.integrators as integrators
 from daegrad import gradients
-from daegrad.gradients import ScalarField, cosh_sum_field, quadratic_field
+from daegrad.gradients import (
+    DiscreteGradientKind,
+    ScalarField,
+    cosh_sum_field,
+    discrete_gradient_info,
+    quadratic_field,
+)
 from daegrad.integrators import (
     NewtonConfig,
     integrate,
@@ -506,6 +513,67 @@ def test_index1_fallback_warns_about_conservation():
     assert V.value(out.state) == pytest.approx(V.value(np.array([1.0, 0.0])), abs=1e-12)
 
 
+def flat_general_system():
+    """The rotation system with the linear ``V`` hinted ``"general"`` of the
+    test above, whose interior-division gradient always falls back."""
+    gamma = np.array([1.0, 2.0])
+    V = ScalarField(dim=2, value=lambda z: float(gamma @ z),
+                    gradient=lambda z: gamma.copy(), hint="general", name="V")
+    return LinearGradientDAE(np.eye(2), rotation_system().S, V, structure_claim="conservative")
+
+
+def assert_flags_match_one_shot(traj, V):
+    """Each accepted step's ``fallback_used`` is the flag of a one-shot
+    interior-division gradient at its new state about its start."""
+    states = traj.states()
+    want = [discrete_gradient_info(DiscreteGradientKind("proper"), V, z1, z0)[1]
+            for z0, z1 in zip(states[:-1], states[1:])]
+    assert [r.fallback_used for r in traj.records[1:]] == want
+    return want
+
+
+@pytest.mark.parametrize("scheme", ["dg-index1", "dg-proper"])
+def test_fallback_flag_is_the_one_shot_flag_where_the_gradient_falls_back(scheme):
+    dae = flat_general_system()
+    with pytest.warns(FallbackCompromisedConservation):
+        traj = integrate(dae, scheme, np.array([1.0, 0.0]), 0.1, 3, cfg=TIGHT)
+    assert assert_flags_match_one_shot(traj, dae.V) == [True] * 3
+
+
+def test_fallback_flag_is_the_one_shot_flag_where_the_gradient_does_not_fall_back():
+    spec = make_problem("sinh-gordon", grid=8)
+    traj = integrate(spec.dae, "dg-proper", spec.default_initial_state, 0.1, 5)
+    assert assert_flags_match_one_shot(traj, spec.dae.V) == [False] * 5
+
+
+@pytest.mark.parametrize("problem", ["flat", "sinh-gordon"])
+def test_fallback_flag_after_a_failed_predicted_start(problem, monkeypatch):
+    # the predicted solve of step 2 evaluates its start, so that the step's
+    # prepared gradient was last called there, and fails; the flag is that
+    # of the state the retry from z_m accepts
+    if problem == "flat":
+        dae, z0, scheme = flat_general_system(), np.array([1.0, 0.0]), "dg-index1"
+    else:
+        spec = make_problem("sinh-gordon", grid=8)
+        dae, z0, scheme = spec.dae, spec.default_initial_state, "dg-proper"
+    starts = _record_starts(monkeypatch)
+    recording = integrators.newton_solve
+
+    def failing_on_the_prediction(residual, w0, *args, **kwargs):
+        if len(starts) == 1:  # the second call is step 2's predicted start
+            starts.append(np.array(w0))
+            residual(np.array(w0))
+            raise NoConvergence(1, 1.0)
+        return recording(residual, w0, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "newton_solve", failing_on_the_prediction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FallbackCompromisedConservation)
+        traj = integrate(dae, scheme, z0, 0.1, 2, cfg=TIGHT)
+    assert len(starts) == 3 and np.array_equal(starts[2], traj.states()[1])
+    assert assert_flags_match_one_shot(traj, dae.V) == [problem == "flat"] * 2
+
+
 # ------------------------------------------------------ constrained step
 
 
@@ -649,9 +717,9 @@ def test_step_rejects_mismatched_or_unknown_scheme(target, scheme):
 
 
 def test_step_looks_up_discrete_gradient_at_call_time(monkeypatch):
-    # one gradient per residual evaluation, plus the fallback check on the
-    # accepted state for the interior-division gradient (the only one that
-    # can fall back), all through the module attribute
+    # one gradient per residual evaluation, all through the module
+    # attribute; the interior-division step's fallback flag on the accepted
+    # state is read from its prepared gradient's last call, with no call here
     dg_calls, residual_calls = [], []
     real_dg, real_newton = integrators.discrete_gradient_info, integrators.newton_solve
 
@@ -668,7 +736,7 @@ def test_step_looks_up_discrete_gradient_at_call_time(monkeypatch):
 
     monkeypatch.setattr(integrators, "discrete_gradient_info", counting_dg)
     monkeypatch.setattr(integrators, "newton_solve", counting_newton)
-    for scheme, variant, fallback_checks in [("dg-avf", "avf", 0), ("dg-proper", "proper", 1)]:
+    for scheme, variant, fallback_checks in [("dg-avf", "avf", 0), ("dg-proper", "proper", 0)]:
         dg_calls.clear()
         residual_calls.clear()
         out = integrate(rotation_system(), scheme, np.array([1.0, 0.0]), 0.1, 1, cfg=TIGHT).records[-1]

@@ -121,7 +121,7 @@ def test_prepared_base_gives_the_per_call_and_one_shot_results_property(points, 
         for variant in VARIANTS:
             base = gradients._PreparedBase(DiscreteGradientKind(variant), V, zp)
             # z1, z2, z1 on one base: nothing of the z2 call may leak into z1's
-            for z in (z1, z2, z1):
+            for z, other in ((z1, z2), (z2, z1), (z1, z2)):
                 got, fell_back = base(z)
                 want, want_fell_back = per_call_discrete_gradient(variant, V, z, zp)
                 assert np.array_equal(got, want), (name, variant, case)
@@ -130,12 +130,17 @@ def test_prepared_base_gives_the_per_call_and_one_shot_results_property(points, 
                 assert np.array_equal(shot, got) and shot_fell_back == fell_back
                 if variant == "proper":
                     assert np.array_equal(base.grad, gradients._gradient(V, z))
+                # the flag where the last call was, and where it was not
+                assert base.fell_back(z) == fell_back
+                assert base.fell_back(other) == per_call_discrete_gradient(variant, V, other, zp)[1]
 
 
 def test_the_flat_general_field_falls_back_and_quadratic_fields_take_the_short_cut():
     # the property above covers both branches: check that it does
     zp, z = np.array([0.3, -0.2]), np.array([1.1, 0.4])
     assert one_shot("proper", fields(2)["flat"], z, zp)[1] is True
+    base = gradients._PreparedBase(DiscreteGradientKind("proper"), fields(2)["flat"], zp)
+    assert base.fell_back(z) is True and base.fell_back(zp) is False
     for name in ("quadratic", "linear"):
         V = replace(fields(2)[name], value=lambda u: pytest.fail("value called"),
                     divergence=lambda z0: pytest.fail("divergence called"))
@@ -219,14 +224,14 @@ def test_index1_step_evaluates_one_gradient_per_residual(monkeypatch):
         # residuals per build
         assert 1 <= builds and residuals < 17
         # one grad V(z1) per residual and none per Jacobian build, which
-        # reads the last residual's; grad V(z0) when the step prepares its
-        # base, and grad V(z0) and grad V(z1) in the fallback check on the
-        # accepted state
-        assert kinds.count("gradient") == residuals + 3
+        # reads the last residual's, and grad V(z0) when the step prepares
+        # its base; the fallback flag on the accepted state reads the last
+        # residual's call too
+        assert kinds.count("gradient") == residuals + 1
         assert kinds.count("hessian") == builds
-        # the step's preparation and the fallback check's
+        # the step's preparation, at z, only
         divergences = [u for kind, u in calls if kind == "divergence"]
-        assert len(divergences) == 2 and np.array_equal(divergences[0], z)
+        assert len(divergences) == 1 and np.array_equal(divergences[0], z)
         assert kinds.count("value") == 0
 
 
@@ -247,7 +252,8 @@ class PerCallBase(gradients._PreparedBase):
     """Keeps the base point only, and evaluates the per-call formulas at
     every call; ``grad`` is a fresh ``grad V(z)``, as the constraint row
     evaluated it before the base was prepared.  Its ``derivative`` comes
-    from a fresh prepared base at each call, with that base's ``hess``."""
+    from a fresh prepared base at each call, with that base's ``hess``, and
+    its ``fell_back`` from the per-call formulas at each call."""
 
     def __init__(self, kind, V, zp):
         self.variant, self.V, self.zp = kind.variant, V, np.asarray(zp, dtype=float)
@@ -261,6 +267,9 @@ class PerCallBase(gradients._PreparedBase):
         out = fresh.derivative(z)
         self.hess = fresh.hess
         return out
+
+    def fell_back(self, z):
+        return per_call_discrete_gradient(self.variant, self.V, z, self.zp)[1]
 
 
 @pytest.mark.parametrize("problem, scheme, steps", [

@@ -62,7 +62,7 @@ def test_analytic_jacobian_matches_differences_on_random_index1_systems(system):
     n = dae.dim
     for scheme in ("dg-index1", "dg-proper", "dg-avf"):
         bound = integrators._bind(dae, scheme)
-        residual, jacobian = bound.build(z0, DT)
+        residual, jacobian, _ = bound.build(z0, DT)
         assert jacobian is not None
         w = np.concatenate([z0 + 0.05 * np.cos(np.arange(n)), 0.01 * np.ones(bound.extra)])
         J = jacobian(w)
