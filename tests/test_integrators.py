@@ -500,62 +500,66 @@ def test_index1_step_enforces_constraint_and_energy():
     assert max(c_norms) <= 1e-10
 
 
-def test_index1_fallback_warns_about_conservation():
-    # a linear V declared "general" has a zero curvature term, which
-    # forces the midpoint fallback; it must be reported loudly
-    gamma = np.array([1.0, 2.0])
-    V = ScalarField(dim=2, value=lambda z: float(gamma @ z),
-                    gradient=lambda z: gamma.copy(), hint="general", name="V")
-    dae = LinearGradientDAE(np.eye(2), rotation_system().S, V, structure_claim="conservative")
-    with pytest.warns(FallbackCompromisedConservation):
-        out = integrate(dae, "dg-index1", np.array([1.0, 0.0]), 0.1, 1, cfg=TIGHT).records[-1]
-    assert out.fallback_used
-    assert V.value(out.state) == pytest.approx(V.value(np.array([1.0, 0.0])), abs=1e-12)
-
-
 def flat_general_system():
-    """The rotation system with the linear ``V`` hinted ``"general"`` of the
-    test above, whose interior-division gradient always falls back."""
+    """The rotation system with a linear ``V`` hinted ``"general"``."""
     gamma = np.array([1.0, 2.0])
     V = ScalarField(dim=2, value=lambda z: float(gamma @ z),
                     gradient=lambda z: gamma.copy(), hint="general", name="V")
     return LinearGradientDAE(np.eye(2), rotation_system().S, V, structure_claim="conservative")
 
 
-def assert_flags_match_one_shot(traj, V):
-    """Each accepted step's ``fallback_used`` is the flag of a one-shot
-    interior-division gradient at its new state about its start."""
-    states = traj.states()
-    want = [discrete_gradient_info(DiscreteGradientKind("proper"), V, z1, z0)[1]
-            for z0, z1 in zip(states[:-1], states[1:])]
-    assert [r.fallback_used for r in traj.records[1:]] == want
-    return want
-
-
-@pytest.mark.parametrize("scheme", ["dg-index1", "dg-proper"])
-def test_fallback_flag_is_the_one_shot_flag_where_the_gradient_falls_back(scheme):
+def test_index1_fallback_warns_about_conservation():
+    # a linear V declared "general" has a zero curvature term, which
+    # forces the midpoint fallback; it must be reported loudly
     dae = flat_general_system()
+    V = dae.V
     with pytest.warns(FallbackCompromisedConservation):
-        traj = integrate(dae, scheme, np.array([1.0, 0.0]), 0.1, 3, cfg=TIGHT)
-    assert assert_flags_match_one_shot(traj, dae.V) == [True] * 3
+        out = integrate(dae, "dg-index1", np.array([1.0, 0.0]), 0.1, 1, cfg=TIGHT).records[-1]
+    assert out.fallback_used
+    assert V.value(out.state) == pytest.approx(V.value(np.array([1.0, 0.0])), abs=1e-12)
 
 
-def test_fallback_flag_is_the_one_shot_flag_where_the_gradient_does_not_fall_back():
-    spec = make_problem("sinh-gordon", grid=8)
-    traj = integrate(spec.dae, "dg-proper", spec.default_initial_state, 0.1, 5)
-    assert assert_flags_match_one_shot(traj, spec.dae.V) == [False] * 5
-
-
-@pytest.mark.parametrize("problem", ["flat", "sinh-gordon"])
-def test_fallback_flag_after_a_failed_predicted_start(problem, monkeypatch):
-    # the predicted solve of step 2 evaluates its start, so that the step's
-    # prepared gradient was last called there, and fails; the flag is that
-    # of the state the retry from z_m accepts
+def fallback_case(problem):
+    """The flat system, whose interior-division gradient always falls back,
+    or the sinh-gordon lattice, whose gradient never does: the system, its
+    start state and whether it falls back."""
     if problem == "flat":
-        dae, z0, scheme = flat_general_system(), np.array([1.0, 0.0]), "dg-index1"
-    else:
-        spec = make_problem("sinh-gordon", grid=8)
-        dae, z0, scheme = spec.dae, spec.default_initial_state, "dg-proper"
+        return flat_general_system(), np.array([1.0, 0.0]), True
+    spec = make_problem("sinh-gordon", grid=8)
+    return spec.dae, spec.default_initial_state, False
+
+
+def assert_flags_are_the_one_shot_flags(case, scheme, steps):
+    """Run ``scheme`` on a :func:`fallback_case`; each step's
+    ``fallback_used`` and warning must be the flag of a one-shot
+    interior-division gradient at its new state about its start."""
+    dae, z0, falls_back = case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = integrate(dae, scheme, z0, 0.1, steps, cfg=TIGHT)
+    states = traj.states()
+    want = [discrete_gradient_info(DiscreteGradientKind("proper"), dae.V, z1, z0)[1]
+            for z0, z1 in zip(states[:-1], states[1:])]
+    assert [r.fallback_used for r in traj.records[1:]] == want == [falls_back] * steps
+    assert sum(w.category is FallbackCompromisedConservation for w in caught) == sum(want)
+    return traj
+
+
+@pytest.mark.parametrize("problem, scheme", [
+    ("flat", "dg-index1"),
+    ("flat", "dg-proper"),
+    ("sinh-gordon", "dg-proper"),
+])
+def test_fallback_flag_is_the_one_shot_flag(problem, scheme):
+    assert_flags_are_the_one_shot_flags(fallback_case(problem), scheme, 4)
+
+
+@pytest.mark.parametrize("problem, scheme", [("flat", "dg-index1"), ("sinh-gordon", "dg-proper")])
+def test_fallback_flag_after_a_failed_predicted_start(problem, scheme, monkeypatch):
+    # the predicted solve of step 2 evaluates the residual at its start,
+    # where the step's prepared gradient is then left, and fails; the flag
+    # is that of the state the retry from z_m accepts
+    case = fallback_case(problem)  # before the patch: make_problem may solve
     starts = _record_starts(monkeypatch)
     recording = integrators.newton_solve
 
@@ -567,11 +571,8 @@ def test_fallback_flag_after_a_failed_predicted_start(problem, monkeypatch):
         return recording(residual, w0, *args, **kwargs)
 
     monkeypatch.setattr(integrators, "newton_solve", failing_on_the_prediction)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FallbackCompromisedConservation)
-        traj = integrate(dae, scheme, z0, 0.1, 2, cfg=TIGHT)
+    traj = assert_flags_are_the_one_shot_flags(case, scheme, 2)
     assert len(starts) == 3 and np.array_equal(starts[2], traj.states()[1])
-    assert assert_flags_match_one_shot(traj, dae.V) == [problem == "flat"] * 2
 
 
 # ------------------------------------------------------ constrained step
@@ -736,13 +737,13 @@ def test_step_looks_up_discrete_gradient_at_call_time(monkeypatch):
 
     monkeypatch.setattr(integrators, "discrete_gradient_info", counting_dg)
     monkeypatch.setattr(integrators, "newton_solve", counting_newton)
-    for scheme, variant, fallback_checks in [("dg-avf", "avf", 0), ("dg-proper", "proper", 0)]:
+    for scheme, variant in [("dg-avf", "avf"), ("dg-proper", "proper")]:
         dg_calls.clear()
         residual_calls.clear()
         out = integrate(rotation_system(), scheme, np.array([1.0, 0.0]), 0.1, 1, cfg=TIGHT).records[-1]
         assert out.newton_iters >= 1
         assert set(dg_calls) == {variant}
-        assert len(dg_calls) == len(residual_calls) + fallback_checks
+        assert len(dg_calls) == len(residual_calls)
 
 
 # ------------------------------------------------------------ projection
