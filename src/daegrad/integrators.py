@@ -423,9 +423,12 @@ def _advance(
             raise
     fallback = fell_back is not None and fell_back(sol.w[: z.shape[0]])
     if fallback:
-        warnings.warn("interior-division gradient fell back to the midpoint form; "
-                      "exact conservation is compromised for this step",
-                      FallbackCompromisedConservation, stacklevel=3)
+        warnings.warn(
+            "interior-division gradient fell back to the midpoint form; "
+            "exact conservation is compromised for this step",
+            FallbackCompromisedConservation,
+            stacklevel=3,
+        )
     return sol, fallback
 
 

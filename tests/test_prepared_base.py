@@ -121,7 +121,7 @@ def test_prepared_base_gives_the_per_call_and_one_shot_results_property(points, 
         for variant in VARIANTS:
             base = gradients._PreparedBase(DiscreteGradientKind(variant), V, zp)
             # z1, z2, z1 on one base: nothing of the z2 call may leak into z1's
-            for z, other in ((z1, z2), (z2, z1), (z1, z2)):
+            for z in (z1, z2, z1):
                 got, fell_back = base(z)
                 want, want_fell_back = per_call_discrete_gradient(variant, V, z, zp)
                 assert np.array_equal(got, want), (name, variant, case)
@@ -130,9 +130,15 @@ def test_prepared_base_gives_the_per_call_and_one_shot_results_property(points, 
                 assert np.array_equal(shot, got) and shot_fell_back == fell_back
                 if variant == "proper":
                     assert np.array_equal(base.grad, gradients._gradient(V, z))
-                # the flag where the last call was, and where it was not
-                assert base.fell_back(z) == fell_back
-                assert base.fell_back(other) == per_call_discrete_gradient(variant, V, other, zp)[1]
+                # the flag where the last call was, read from that call
+                at = base.at
+                assert base.fell_back(z) == fell_back and base.at is at
+            # and where it was not: the flag at z2 calls there, after which
+            # a call at z1 still gives the per-call result
+            assert base.fell_back(z2) == per_call_discrete_gradient(variant, V, z2, zp)[1]
+            got, fell_back = base(z1)
+            want, want_fell_back = per_call_discrete_gradient(variant, V, z1, zp)
+            assert np.array_equal(got, want) and fell_back == want_fell_back, (name, variant, case)
 
 
 def test_the_flat_general_field_falls_back_and_quadratic_fields_take_the_short_cut():
