@@ -27,14 +27,14 @@ one-sided divergence ``V(z) - V(z') - <grad V(z'), z - z'>`` to the
 two-sided curvature term ``<grad V(z) - grad V(z'), z - z'>``; the two
 one-sided divergences sum to the curvature term, so the coefficients for
 ``(z, z')`` and ``(z', z)`` always sum to one.  A field's ``divergence``
-routine, prepared at ``z'``, returns both one-sided divergences from one
-evaluation, so each coefficient pair costs one call.  For quadratic fields
+routine returns both one-sided divergences from one evaluation at
+``(z, z')``, so each coefficient pair costs one call.  For quadratic fields
 the coefficient is exactly one half and the construction coincides with
 the average vector field.
 
-An integrator step prepares its fixed ``z'`` once, evaluating what depends
-on ``z'`` alone, and then each ``gbar(z, z')`` evaluates ``grad V(z)`` once;
-the public functions are one-shot uses of the same code.
+An integrator step prepares its fixed ``z'`` once, evaluating ``grad V(z')``
+there, and then each ``gbar(z, z')`` evaluates ``grad V(z)`` once; the
+public functions are one-shot uses of the same code.
 
 The policy is fixed: none of the constructions takes a tuning parameter.
 """
@@ -93,14 +93,12 @@ class ScalarField:
     gradient call per node, because its gradient need not accept a stack
     of points: ``X @ z`` of a quadratic field does not map rows.
 
-    ``divergence`` optionally evaluates both one-sided divergences
+    ``divergence(z, z0)`` optionally evaluates both one-sided divergences
 
         D(z, z0) = V(z) - V(z0) - <grad V(z0), z - z0>
 
-    and ``D(z0, z)`` in a cancellation-free way.  It is base first:
-    ``divergence(z0)`` does the work that depends on ``z0`` alone and
-    returns the map ``z -> (D(z, z0), D(z0, z))``, which a step calls at
-    many ``z``.  Supplying it makes the interior-division
+    and ``D(z0, z)`` in a cancellation-free way, and returns them as the
+    pair ``(D(z, z0), D(z0, z))``.  Supplying it makes the interior-division
     coefficient accurate arbitrarily close to coincidence, where the naive
     three-term formula loses all significant digits.
 
@@ -119,7 +117,7 @@ class ScalarField:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hint: str = "general"
-    divergence: Callable[[np.ndarray], Callable[[np.ndarray], tuple[float, float]]] | None = None
+    divergence: Callable[[np.ndarray, np.ndarray], tuple[float, float]] | None = None
     name: str = ""
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -147,15 +145,10 @@ def quadratic_field(X, linear=None, name: str = "") -> ScalarField:
     if not np.all(np.isfinite(b)):
         raise ValueError("linear coefficients must be finite")
 
-    def divergence(z0):
-        z0 = np.asarray(z0, dtype=float)
-
-        def pair(z):
-            h = np.asarray(z, dtype=float) - z0
-            v = 0.5 * float(h @ (X @ h))
-            return v, v
-
-        return pair
+    def divergence(z, z0):
+        h = np.asarray(z, dtype=float) - np.asarray(z0, dtype=float)
+        v = 0.5 * float(h @ (X @ h))
+        return v, v
 
     return ScalarField(
         dim=X.shape[0],
@@ -180,7 +173,7 @@ def linear_field(gamma, name: str = "") -> ScalarField:
         value=lambda z: float(g @ z),
         gradient=lambda z: g.copy(),
         hint="quadratic",
-        divergence=lambda z0: lambda z: (0.0, 0.0),
+        divergence=lambda z, z0: (0.0, 0.0),
         name=name,
     )
 
@@ -212,38 +205,21 @@ def cosh_sum_field(dim: int, name: str = "") -> ScalarField:
 
     ``D(z, z0)`` sums ``cosh(z0) 2 s^2 + sinh(z0) phi`` and ``D(z0, z)`` sums
     ``cosh(z) 2 s^2 - sinh(z) phi``, with ``h = z - z0``, ``s = sinh(h/2)`` and
-    ``phi = sinh(h) - h`` computed once on whole arrays for both; the base
-    terms ``2 cosh(z0)`` and ``sinh(z0)`` once per prepared ``z0``.  Both sums
-    are built in place in two buffers, rounded as ``(c0 s) s + sinh(z0) phi``
-    and ``((2 cosh(z)) s) s - sinh(z) phi``.  ``sinh``
-    and the kernel are odd, so each entry is bitwise what the one-sided
-    formula gives on its own.  A Horner series for small ``h`` keeps ``phi``,
-    and so the divergences, accurate near coincidence.
+    ``phi = sinh(h) - h`` computed once on whole arrays for both, rounded as
+    ``((2 cosh(z0)) s) s + sinh(z0) phi`` and ``((2 cosh(z)) s) s - sinh(z) phi``.
+    ``sinh`` and the kernel are odd, so each entry is bitwise what the
+    one-sided formula gives on its own.  A Horner series for small ``h`` keeps
+    ``phi``, and so the divergences, accurate near coincidence.
     """
 
-    def divergence(z0):
+    def divergence(z, z0):
+        z = np.asarray(z, dtype=float)
         z0 = np.asarray(z0, dtype=float)
-        c0, s0 = np.cosh(z0) * 2.0, np.sinh(z0)
-
-        def pair(z):
-            z = np.asarray(z, dtype=float)
-            h = z - z0
-            s = np.sinh(0.5 * h)
-            phi = _sinh_minus_identity(h)
-            t, u = c0 * s, s0 * phi
-            t *= s
-            t += u
-            forward = float(np.add.reduce(t))
-            np.cosh(z, out=t)
-            t *= 2.0
-            t *= s
-            t *= s
-            np.sinh(z, out=u)
-            u *= phi
-            t -= u
-            return forward, float(np.add.reduce(t))
-
-        return pair
+        h = z - z0
+        s = np.sinh(0.5 * h)
+        phi = _sinh_minus_identity(h)
+        return (float(np.add.reduce(np.cosh(z0) * 2.0 * s * s + np.sinh(z0) * phi)),
+                float(np.add.reduce(np.cosh(z) * 2.0 * s * s - np.sinh(z) * phi)))
 
     return ScalarField(
         dim=dim,
@@ -277,18 +253,13 @@ def convex_quartic_field(curvature, name: str = "") -> ScalarField:
 
     half_c = c / 2.0
 
-    def divergence(z0):
+    def divergence(z, z0):
+        b = np.asarray(z, dtype=float)
         a = np.asarray(z0, dtype=float)
-        a6, a4 = 6.0 * a * a, 4.0 * a
-
-        def pair(z):
-            b = np.asarray(z, dtype=float)
-            h = b - a
-            hh = h * h
-            return (float(np.add.reduce(hh * ((a6 + a4 * h + hh) / 4.0 + half_c))),
-                    float(np.add.reduce(hh * ((6.0 * b * b - 4.0 * b * h + hh) / 4.0 + half_c))))
-
-        return pair
+        h = b - a
+        hh = h * h
+        return (float(np.add.reduce(hh * ((6.0 * a * a + 4.0 * a * h + hh) / 4.0 + half_c))),
+                float(np.add.reduce(hh * ((6.0 * b * b - 4.0 * b * h + hh) / 4.0 + half_c))))
 
     return ScalarField(
         dim=c.shape[0],
@@ -372,28 +343,23 @@ def _avf_rule() -> tuple[np.ndarray, np.ndarray]:
 class _PreparedBase:
     """The discrete gradient of variant ``kind`` of ``V`` about a fixed ``zp``.
 
-    What depends on ``zp`` alone is evaluated once, here: the shape check,
-    for ``"proper"`` ``grad V(zp)`` (a copy, since a gradient may reuse one
-    buffer) and ``V.divergence(zp)``, and ``V(zp)`` where a formula needs it
-    (a proper gradient with a divergence reads it only on a fallback).
+    What depends on ``zp`` alone is evaluated once: here the shape check and,
+    for ``"proper"``, ``grad V(zp)`` (a copy, since a gradient may reuse one
+    buffer); ``V(zp)`` at the first call whose formula needs it (a proper
+    gradient with a divergence needs it only on a fallback).
     Calling the base at ``z`` returns ``(gbar(z, zp), fell_back)``; a proper
     gradient leaves ``grad V(z)``, evaluated once per call, in ``grad``,
     ``z`` in ``at`` and its interior-division coefficient, None after a
     fallback, in ``theta``, for :meth:`fell_back` and :meth:`derivative`.
     """
 
-    __slots__ = ("variant", "V", "zp", "gp", "vp", "divergence", "grad", "at", "theta", "hess")
+    __slots__ = ("variant", "V", "zp", "gp", "vp", "grad", "at", "theta", "hess")
 
     def __init__(self, kind: DiscreteGradientKind, V: ScalarField, zp):
         self.variant, self.V, self.zp = kind.variant, V, _point(V, zp)
-        self.gp = self.vp = self.divergence = self.grad = self.at = self.theta = self.hess = None
-        curved = V.hint != "quadratic"
+        self.gp = self.vp = self.grad = self.at = self.theta = self.hess = None
         if self.variant == "proper":
             self.gp = _gradient(V, self.zp).copy()
-            if curved and V.divergence is not None:
-                self.divergence = V.divergence(self.zp)
-        if curved and self.variant != "avf" and self.divergence is None:
-            self.vp = V.value(self.zp)
 
     def __call__(self, z) -> tuple[np.ndarray, bool]:
         V, zp = self.V, self.zp
@@ -487,21 +453,25 @@ class _PreparedBase:
     def _corrected_midpoint(self, z, delta, dd):
         """``grad V`` at the midpoint plus the rank-one chain-rule correction."""
         g = _gradient(self.V, 0.5 * (z + self.zp))
+        return g + (self.V.value(z) - self._base_value() - float(g @ delta)) / dd * delta
+
+    def _base_value(self) -> float:
+        """``V(zp)``, read from the field once per base."""
         if self.vp is None:
             self.vp = self.V.value(self.zp)
-        return g + (self.V.value(z) - self.vp - float(g @ delta)) / dd * delta
+        return self.vp
 
     def _theta_pair(self, z, g, delta, dd) -> tuple[float, float, float | None]:
         """``theta(z, zp)``, ``theta(zp, z)`` and their denominator, the
-        curvature term, with ``g = grad V(z)``, from the prepared divergence
-        or else the three-term formulas, which share one curvature
+        curvature term, with ``g = grad V(z)``, from one ``V.divergence(z, zp)``
+        call or else the three-term formulas, which share one curvature
         evaluation; an affine gradient gives one half each and no term."""
         if self.V.hint == "quadratic":
             return 0.5, 0.5, None
-        if self.divergence is not None:
-            d1, d2 = map(float, self.divergence(z))
+        if self.V.divergence is not None:
+            d1, d2 = map(float, self.V.divergence(z, self.zp))
         else:
-            d1 = self.V.value(z) - self.vp - float(self.gp @ delta)
+            d1 = self.V.value(z) - self._base_value() - float(self.gp @ delta)
             d2 = float((g - self.gp) @ delta) - d1
         den = d1 + d2
         if abs(den) <= _DENOMINATOR_TOL * dd:

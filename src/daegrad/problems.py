@@ -169,6 +169,8 @@ def make_constrained_hamiltonian() -> ProblemSpec:
     return replace(
         make_friction(friction=(0.0, 0.0)),
         name="pendulum",
+        # dg-midpoint lets H climb to 7.69 and fails at step 422 at dt 0.1
+        schemes=("gonzalez", "implicit-euler"),
         index_note="index 3 (holonomic constraint)",
         notes="",
     )

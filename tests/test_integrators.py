@@ -333,7 +333,7 @@ def test_cosh_divergence_pair_is_bitwise_two_one_sided_calls():
     for scale in (1e-9, 1e-3, 0.3, 0.5, 1.5):
         z0 = rng.uniform(-3.0, 3.0, size=16)
         z = z0 + scale * rng.uniform(-1.0, 1.0, size=16)
-        assert V.divergence(z0)(z) == (one_sided_cosh_divergence(z, z0),
+        assert V.divergence(z, z0) == (one_sided_cosh_divergence(z, z0),
                                        one_sided_cosh_divergence(z0, z))
 
 
@@ -344,8 +344,8 @@ def test_sinh_gordon_run_is_unchanged_by_the_paired_divergence(scheme):
     spec = make_problem("sinh-gordon", grid=16)
     reference = replace(spec.dae, V=replace(
         spec.dae.V,
-        divergence=lambda z0: lambda z: (one_sided_cosh_divergence(z, z0),
-                                         one_sided_cosh_divergence(z0, z)),
+        divergence=lambda z, z0: (one_sided_cosh_divergence(z, z0),
+                                  one_sided_cosh_divergence(z0, z)),
     ))
     runs = [integrate(dae, scheme, spec.default_initial_state, 0.1, 10, observers=spec.observers)
             for dae in (spec.dae, reference)]
@@ -944,6 +944,8 @@ def test_integrate_validates_arguments():
         integrate(spec.dae, "gonzalez", z0, 0.1, 10)
     with pytest.raises(ValueError):
         integrate(spec.dae, "leapfrog", z0, 0.1, 10)
+    with pytest.raises(ValueError, match=r"needs a system A z' = f\(z\)"):
+        integrate(object(), "implicit-euler", z0, 0.1, 10)
     assert len(integrate(spec.dae, "implicit-euler", z0, 0.1, np.int64(2))) == 3
 
 

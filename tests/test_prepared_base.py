@@ -3,9 +3,9 @@
 A step holds its base point ``z0`` fixed over every residual call, so the
 integrators prepare it once (``gradients._PreparedBase``) and each call
 evaluates only what depends on ``z1``.  The references here are the
-per-call formulas, which evaluate every term, ``grad V(z0)`` and the
-divergence's base terms included, at each call: the prepared base must
-give what they give bit for bit, and make fewer field calls.
+per-call formulas, which evaluate every term, ``grad V(z0)`` and ``V(z0)``
+included, at each call: the prepared base must give what they give bit
+for bit, and make fewer field calls.
 """
 
 from dataclasses import replace
@@ -71,7 +71,7 @@ def per_call_discrete_gradient(variant, V, z, zp):
         t1 = t2 = 0.5
     else:
         if V.divergence is not None:
-            d1, d2 = V.divergence(zp)(z)
+            d1, d2 = V.divergence(z, zp)
         else:
             gp = gradients._gradient(V, zp).copy()
             d1 = V.value(z) - V.value(zp) - float(gp @ delta)
@@ -149,9 +149,31 @@ def test_the_flat_general_field_falls_back_and_quadratic_fields_take_the_short_c
     assert base.fell_back(z) is True and base.fell_back(zp) is False
     for name in ("quadratic", "linear"):
         V = replace(fields(2)[name], value=lambda u: pytest.fail("value called"),
-                    divergence=lambda z0: pytest.fail("divergence called"))
+                    divergence=lambda z, z0: pytest.fail("divergence called"))
         for variant in ("midpoint", "proper"):
             one_shot(variant, V, z, zp)
+
+
+def test_a_general_field_with_a_divergence_reads_its_base_value_on_the_first_fallback():
+    # a flat field whose divergence pair is (0, 0): every proper call away
+    # from zp falls back, and only the fallback reads V(zp), once per base
+    zp = np.array([0.3, -0.2])
+    gamma = np.array([0.7, -1.1])
+    at_base = []
+
+    def value(u):
+        at_base.append(np.array_equal(u, zp))
+        return float(gamma @ u)
+
+    V = ScalarField(2, value, lambda u: gamma.copy(), divergence=lambda z, z0: (0.0, 0.0))
+    base = gradients._PreparedBase(DiscreteGradientKind("proper"), V, zp)
+    assert at_base == []
+    points = (np.array([1.1, 0.4]), np.array([-0.5, 2.0]), np.array([1.1, 0.4]))
+    results = [base(z) for z in points]
+    assert base(zp)[1] is False
+    assert at_base.count(True) == 1 and base.vp == float(gamma @ zp)
+    for z, (got, fell_back) in zip(points, results):
+        assert fell_back is True and np.array_equal(got, midpoint_gradient(V, z, zp))
 
 
 def test_a_prepared_base_of_another_field_or_variant_is_refused():
@@ -170,11 +192,11 @@ def test_a_prepared_base_of_another_field_or_variant_is_refused():
 
 def counting(V, calls):
     """``V`` with each field call appended to ``calls`` as ``(kind, point)``,
-    where the point is the first argument."""
+    or ``(kind, z, z0)`` for a divergence."""
 
     def count(kind, fn):
         def wrapped(*args):
-            calls.append((kind, np.array(args[0])))
+            calls.append((kind, *map(np.array, args)))
             return fn(*args)
 
         return wrapped
@@ -224,7 +246,7 @@ def test_index1_step_evaluates_one_gradient_per_residual(monkeypatch):
     spec = make_problem("sinh-gordon", grid=16)
     for z, calls, residuals in step_calls(monkeypatch, spec.dae, "dg-index1",
                                           spec.default_initial_state, 2):
-        kinds = [kind for kind, _ in calls]
+        kinds = [kind for kind, *_ in calls]
         builds = kinds.count("jacobian")
         # analytic Jacobians: no difference columns, which would take 17
         # residuals per build
@@ -235,9 +257,13 @@ def test_index1_step_evaluates_one_gradient_per_residual(monkeypatch):
         # residual's call too
         assert kinds.count("gradient") == residuals + 1
         assert kinds.count("hessian") == builds
-        # the step's preparation, at z, only
-        divergences = [u for kind, u in calls if kind == "divergence"]
-        assert len(divergences) == 1 and np.array_equal(divergences[0], z)
+        # one pair per residual away from z, at (z1, z): the points of the
+        # gradient calls after the base's own
+        away = [u for kind, u, *_ in calls if kind == "gradient" and not np.array_equal(u, z)]
+        divergences = [args for kind, *args in calls if kind == "divergence"]
+        assert 1 <= len(divergences) == len(away) <= residuals
+        for (z1, z0), u in zip(divergences, away):
+            assert np.array_equal(z1, u) and np.array_equal(z0, z)
         assert kinds.count("value") == 0
 
 
@@ -246,7 +272,7 @@ def test_midpoint_step_evaluates_the_base_value_once(monkeypatch):
     assert spec.dae.V.hint == "general"
     for z, calls, residuals in step_calls(monkeypatch, spec.dae, "dg-midpoint",
                                           spec.default_initial_state, 3):
-        at_base = [kind for kind, u in calls if kind == "value" and np.array_equal(u, z)]
+        at_base = [kind for kind, u, *_ in calls if kind == "value" and np.array_equal(u, z)]
         assert len(at_base) == 1
         assert residuals > 5
 
