@@ -12,7 +12,7 @@ construction:
 * ``S = A K + B E^T`` with ``K`` random skew, so that ``B^T S grad V =
   E^T grad V`` (the constraint is properness) and ``A^+ S = (I - E E^T) K``;
   for a dissipative system ``K`` is ``M - M^T - 0.3 M M^T``, whose form
-  ``-0.3 |M^T g|^2`` on proper gradients is never positive;
+  ``g^T K g = -0.3 |M^T g|^2`` is never positive;
 * ``V`` a convex quartic with positive curvature, or the cosh sum, so that
   ``E^T grad^2 V E`` is nonsingular and the system is index 1.
 """
@@ -69,16 +69,16 @@ def systems(draw, claim="conservative"):
 
 def index1_run(system):
     """``V`` along ``STEPS`` steps of ``dg-index1`` at ``DT`` and, for each
-    step, the most its change may exceed ``dt <gbar, A^+ S gbar>`` by.
+    step, the most its change may exceed ``dt <gbar, K gbar>`` by.
 
     With Newton residuals r1 (dynamic rows) and r2 = E^T grad V(z1)
     (constraint rows), both at most TOL in the max norm, the step's change
     of V = <gbar, z1 - z0> splits into
-      dt <gbar, (I - E E^T) K gbar>  (zero for skew K, never positive for
-                                      a dissipative one, on proper gbar),
-      dt <gbar, A^+ r1>               <= dt |A^+| |gbar| sqrt(n) TOL,
-      -dt <E^T gbar, E^T K gbar>      <= dt |K| |gbar| sqrt(l) TOL,
-      <E^T gbar, E^T (z1 - z0)>       <= |z1 - z0| sqrt(l) TOL,
+      dt <gbar, K gbar>           (zero for skew K, never positive for
+                                  a dissipative one),
+      dt <gbar, A^+ r1>           <= dt |A^+| |gbar| sqrt(n) TOL,
+      -dt <E^T gbar, E^T K gbar>  <= dt |K| |gbar| sqrt(l) TOL,
+      <E^T gbar, E^T (z1 - z0)>   <= |z1 - z0| sqrt(l) TOL,
     since A^+ S = (I - E E^T) K and E^T gbar is an interior division of
     endpoint residuals; |gbar| is at most the larger endpoint gradient, and
     V itself is evaluated to a few n eps |V|.  Also asserts that every
