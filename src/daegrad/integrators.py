@@ -148,6 +148,9 @@ def newton_solve(
     (by keyword) and it returns an array, and otherwise with a
     forward-difference Jacobian that costs ``len(w)`` residual calls; a
     ``jacobian`` that returns None takes differences at that iterate.
+    It may return an ``(n + k)``-square bordered matrix, ``n = len(w)``,
+    whose last ``k`` equations have a zero right-hand side: the step is the
+    first ``n`` entries of the solution, and the next call may reuse the array.
     Success means ``||residual||_inf <= cfg.residual_tol``.
     Full steps that increase the residual norm are halved up to 20 times;
     if no halving helps, or ``max_iters`` is exhausted, or the step stagnates
@@ -167,7 +170,8 @@ def newton_solve(
         J = None if jacobian is None else jacobian(w)
         J = _fd_jacobian(residual, w, r) if J is None else np.asarray(J, dtype=float)
         try:
-            delta = np.linalg.solve(J, -r)
+            delta = np.linalg.solve(J, np.concatenate([-r, np.zeros(J.shape[0] - r.shape[0])]))
+            delta = delta[: w.shape[0]]
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"iteration {it}: {exc}") from exc
         scale = 1.0
@@ -193,8 +197,8 @@ class _Scheme(NamedTuple):
     """A scheme bound to its target system.
 
     ``build(z0, dt)`` returns the Newton residual of one step from ``z0``;
-    its analytic Jacobian, a map ``w ->`` array or None (differences at
-    that iterate), or None for differences throughout; and ``fell_back``
+    its analytic Jacobian, a map ``w ->`` array (maybe bordered) or None
+    (differences at that iterate), or None throughout; and ``fell_back``
     of the step's prepared discrete gradient, or None for implicit Euler
     and ``gonzalez``.  The unknown is the new state followed by ``extra``
     auxiliary components.  ``free_null_space`` marks a scheme that leaves
@@ -248,16 +252,18 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
 
     With a field ``hessian`` (for ``gonzalez``, on ``H`` and every
     constraint), every scheme builds an analytic Jacobian ``A / dt - S
-    dgbar/dz1`` from the gradient's derivative.  The prepared base's
-    :meth:`~daegrad.gradients._PreparedBase.derivative` ``diag(k) +
-    outer(u, v)`` gives ``A / dt - S * k - outer(S u, v)``, in ``O(d^2)``,
-    and for ``dg-index1`` the block ``[[that, -B], [(B^T S) * grad^2 V(z1),
-    0]]``; Gonzalez's dense derivative (:func:`_augmented_gradient`) gives
-    ``A / dt - S @ D``.  It holds only for a constant ``S``: where
-    ``S(z1)`` is ``S(z0)``, or where ``S(z1)`` and ``S(z0 + 1)`` both equal
-    ``S(z0)`` entry by entry (equality at ``z1`` alone would pass at
-    ``z1 = z0`` for any ``S``); ``S(z0 + 1)`` is evaluated at most once per
-    step.  There the single product and the average agree bit for bit.
+    dgbar/dz1`` from the gradient's derivative, in ``O(d^2)`` into one
+    buffer per step.  The prepared base's derivative ``diag(k) + outer(u,
+    v)`` gives ``A / dt - S * k`` bordered by one unknown ``s = v^T dz1``
+    (column ``-S u``, row ``v``, corner ``-1``; a zero border without
+    ``u``), and for ``dg-index1`` the columns ``-B`` and rows ``(B^T S) *
+    grad^2 V(z1)`` of ``c`` before ``s``; Gonzalez's dense derivative
+    gives ``A / dt - S @ D``.  It holds only for a constant ``S``: where
+    ``S(z1)`` is ``S(z0)``, or where ``S(z1)`` and ``S(z0 + linspace(1, 2,
+    d))`` both equal ``S(z0)`` entry by entry (equality at ``z1`` alone
+    would pass at ``z1 = z0`` for any ``S``, a uniform shift for an ``S``
+    of differences); the probe is evaluated at most once per step.  There
+    the single product and the average agree bit for bit.
     Elsewhere, and where the derivative is None, it returns None; where
     the gradient has none at all (``_has_derivative``), there is no Jacobian.
     """
@@ -300,8 +306,15 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
         if derivative is None:
             return residual, None, fell_back
         A_dt = A / dt
+        n = d + B.shape[1] if index1 else d
+        bordered = kind is not None and kind.variant == "proper"
+        J = np.zeros((n + bordered,) * 2)  # every build of the step overwrites it
+        if index1:
+            J[:d, d:n] = -B
+        if bordered:
+            J[n, n] = -1.0
 
-        away = None  # does S(z0 + 1) equal S(z0)? It does not depend on the iterate
+        away = None  # does S(z0 + probe) equal S(z0)? It does not depend on the iterate
 
         def jacobian(w):
             nonlocal away
@@ -310,18 +323,20 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             constant = S1 is S0
             if not constant and np.array_equal(S1, S0):
                 if away is None:
-                    away = np.array_equal(dae.S(z + 1.0), S0)
+                    away = np.array_equal(dae.S(z + np.linspace(1.0, 2.0, d)), S0)
                 constant = away
             part = derivative(zp) if constant else None
             if part is None:
                 return None
             diagonal, rank_one = part
-            J = A_dt - (S0 @ diagonal if diagonal.ndim == 2 else S0 * diagonal)
-            if rank_one is not None:
-                J -= np.outer(S0 @ rank_one[0], rank_one[1])
-            if not index1:
-                return J
-            return np.block([[J, -B], [BtS0 * base.hess, np.zeros((B.shape[1],) * 2)]])
+            Jz = (np.matmul if diagonal.ndim == 2 else np.multiply)(S0, diagonal, out=J[:d, :d])
+            np.subtract(A_dt, Jz, out=Jz)
+            if bordered:
+                J[:d, n] = 0.0 if rank_one is None else -(S0 @ rank_one[0])
+                J[n, :d] = 0.0 if rank_one is None else rank_one[1]
+            if index1:
+                np.multiply(BtS0, base.hess, out=J[d:n, :d])
+            return J
 
         return residual, jacobian, fell_back
 

@@ -80,22 +80,71 @@ def step(dae, scheme, z0, dt=0.1):
     return residual, jacobian, integrators._bind(dae, scheme).extra
 
 
+def schur(J, n):
+    """The derivative in the first ``n`` unknowns of a bordered Newton
+    matrix: its Schur complement once the auxiliary unknowns are
+    eliminated; ``J`` itself when it has none."""
+    if J.shape[0] == n:
+        return J
+    return J[:n, :n] - J[:n, n:] @ np.linalg.solve(J[n:, n:], J[n:, :n])
+
+
+def dense_jacobian(dae, scheme, z0, w, dt=0.1):
+    """The reference formula: the Newton matrix of a ``dg-proper`` or
+    ``dg-index1`` step assembled densely, ``A / dt - S * k - outer(S u, v)``
+    from the derivative ``diag(k) + outer(u, v)``, and for ``dg-index1`` the
+    block ``[[that, -B], [(B^T S) * grad^2 V(z1), 0]]``."""
+    S = dae.S(z0)
+    base = gradients._PreparedBase(gradients._PROPER, dae.V, z0)
+    diagonal, rank_one = base.derivative(w[:dae.dim])
+    J = dae.A / dt - S * diagonal
+    if rank_one is not None:
+        J -= np.outer(S @ rank_one[0], rank_one[1])
+    if scheme == "dg-proper":
+        return J
+    B = dae.subspaces.range_perp_basis
+    return np.block([[J, -B], [(B.T @ S) * base.hess, np.zeros((B.shape[1],) * 2)]])
+
+
+def iterate(z0, extra, at):
+    z1 = z0 if at == "coincident" else z0 + 0.05 * np.cos(np.arange(GRID))
+    return np.concatenate([z1, 0.01 * np.ones(extra)])
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("field", ["cosh", "quartic"])
 @pytest.mark.parametrize("at", ["apart", "coincident"])
 def test_analytic_jacobian_matches_the_difference_jacobian(scheme, field, at):
+    # the proper gradient's rank-one term is one auxiliary unknown, so its
+    # Newton matrix has one more row and column than the unknown w
     dae, z0 = lattice(field)
     residual, jacobian, extra = step(dae, scheme, z0)
     assert jacobian is not None
-    z1 = z0 if at == "coincident" else z0 + 0.05 * np.cos(np.arange(GRID))
-    w = np.concatenate([z1, 0.01 * np.ones(extra)])
+    n = GRID + extra
+    w = iterate(z0, extra, at)
     r0 = residual(w)
-    J = jacobian(w)
+    J = jacobian(w).copy()  # the step's next build overwrites the array it returns
     differences = integrators._fd_jacobian(residual, w, r0)
-    assert J.shape == differences.shape == (GRID + extra,) * 2
-    assert np.abs(J - differences).max() <= 1e-6 * np.abs(J).max()
+    assert differences.shape == (n, n)
+    assert J.shape == (n + (scheme != "dg-avf"),) * 2
+    newton = schur(J, n)
+    assert np.abs(newton - differences).max() <= 1e-6 * np.abs(newton).max()
     # after the difference columns the base evaluates z1 afresh, alike
     assert np.array_equal(jacobian(w), J)
+
+
+@pytest.mark.parametrize("scheme", ["dg-index1", "dg-proper"])
+@pytest.mark.parametrize("field", ["cosh", "quartic"])
+@pytest.mark.parametrize("at", ["apart", "coincident"])
+def test_bordered_newton_step_matches_the_dense_newton_step(scheme, field, at):
+    dae, z0 = lattice(field)
+    residual, jacobian, extra = step(dae, scheme, z0)
+    n = GRID + extra
+    w = iterate(z0, extra, at)
+    r = residual(w)
+    bordered = np.linalg.solve(jacobian(w), np.concatenate([-r, [0.0]]))[:n]
+    dense = np.linalg.solve(dense_jacobian(dae, scheme, z0, w), -r)
+    assert np.abs(bordered - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_degenerate_curvature_takes_differences():
@@ -164,6 +213,21 @@ def test_a_state_dependent_structure_stays_on_differences(scheme, monkeypatch):
     (run, reference), built = runs(monkeypatch, dae, scheme, z0)
     assert len(built) >= 10 and all(J is None for J in built)
     assert_same_run(run, reference)
+
+
+@pytest.mark.parametrize("scheme", ["dg-avf", "dg-index1"])
+def test_a_structure_that_a_uniform_shift_keeps_stays_on_differences(scheme, monkeypatch):
+    # S(z) = Mavg (1 + 2 (z_1 - z_0)^2) depends on the state, yet S(z0 + 1) is
+    # S(z0): a probe along the uniform direction passed it as constant at
+    # step 1's first iterate z1 = z0 and built a Jacobian without dS/dz
+    spec = make_problem("sinh-gordon", grid=16)
+    z0, Mavg = spec.default_initial_state, spec.dae.S(spec.default_initial_state)
+    dae = replace(spec.dae, S=lambda z: (1.0 + 2.0 * (z[1] - z[0]) ** 2) * Mavg)
+    (run, _), built = runs(monkeypatch, dae, scheme, z0)
+    assert len(built) >= 10 and all(J is None for J in built)
+    monkeypatch.undo()
+    assert_same_run(run, integrate(replace(dae, V=replace(dae.V, hessian=None)), scheme, z0,
+                                   0.1, 10))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -307,9 +371,9 @@ def test_dg_midpoint_on_the_augmented_energy_takes_differences():
 def test_a_fresh_copy_structure_is_probed_away_from_z0_once_per_step(problem, scheme,
                                                                      monkeypatch):
     # S returns an equal copy at every call, so each Jacobian build compares
-    # S(z1) with S(z0) and needs S(z0 + 1) as well, which does not depend on
-    # the iterate: one probe per step, on top of S(z0), one S per residual
-    # and one per build
+    # S(z1) with S(z0) and needs S at z0 plus a non-uniform shift as well,
+    # which does not depend on the iterate: one probe per step, on top of
+    # S(z0), one S per residual and one per build
     spec = make_problem(problem, grid=GRID if problem == "sinh-gordon" else None)
     S0 = spec.dae.S(spec.default_initial_state)
     s_calls, residuals, builds, steps = [], [], [], []

@@ -171,6 +171,64 @@ def test_newton_takes_differences_where_the_jacobian_returns_none():
     assert np.array_equal(np.array(residuals[1:3]), np.array([[1.0 + h, 0.0], [1.0, h]]))
 
 
+# r(w) = w^3 + w - c + u (v^T w)^2, whose Jacobian diag(3 w^2 + 1) + outer(u, 2 (v^T w) v)
+# is a diagonal plus a rank-one term
+_U, _V, _C = np.array([0.5, -1.0, 0.25]), np.array([1.0, 0.5, -2.0]), np.array([2.0, -1.0, 3.0])
+
+
+def _toy_residual(w):
+    return w ** 3 + w - _C + _U * float(_V @ w) ** 2
+
+
+def _toy_dense(w):
+    return np.diag(3.0 * w ** 2 + 1.0) + np.outer(_U, 2.0 * float(_V @ w) * _V)
+
+
+def _toy_bordered(w, out=None):
+    """The toy Jacobian with its rank-one term as one auxiliary unknown
+    ``s = 2 (v^T w) v^T dw``: ``[[diag(3 w^2 + 1), u], [2 (v^T w) v^T, -1]]``."""
+    J = np.zeros((4, 4)) if out is None else out
+    J[:3, :3] = np.diag(3.0 * w ** 2 + 1.0)
+    J[:3, 3], J[3, :3], J[3, 3] = _U, 2.0 * float(_V @ w) * _V, -1.0
+    return J
+
+
+def test_newton_solves_a_bordered_jacobian_like_its_dense_twin():
+    w0 = np.array([0.3, -0.2, 1.0])
+    bordered = newton_solve(_toy_residual, w0, jacobian=_toy_bordered)
+    dense = newton_solve(_toy_residual, w0, jacobian=_toy_dense)
+    assert bordered.iters == dense.iters >= 3
+    assert bordered.w.shape == (3,)
+    assert np.abs(bordered.w - dense.w).max() <= 1e-14 * np.abs(dense.w).max()
+    assert max(bordered.residual_norm, dense.residual_norm) <= NewtonConfig().residual_tol
+
+
+def test_newton_reads_a_reused_jacobian_buffer_like_fresh_arrays():
+    buffer, returned = np.zeros((4, 4)), []
+
+    def reused(w):
+        returned.append(_toy_bordered(w, out=buffer))
+        return returned[-1]
+
+    w0 = np.array([0.3, -0.2, 1.0])
+    again = newton_solve(_toy_residual, w0, jacobian=reused)
+    fresh = newton_solve(_toy_residual, w0, jacobian=_toy_bordered)
+    assert len(returned) == again.iters >= 3 and all(J is buffer for J in returned)
+    assert np.array_equal(again.w, fresh.w) and again.iters == fresh.iters
+    assert again.residual_norm == fresh.residual_norm
+
+
+def test_newton_singular_bordered_jacobian():
+    # a zero border and corner leave the auxiliary unknown undetermined
+    def bordered(w):
+        J = _toy_bordered(w)
+        J[:3, 3] = J[3, :] = 0.0
+        return J
+
+    with pytest.raises(SingularJacobian):
+        newton_solve(_toy_residual, np.array([0.3, -0.2, 1.0]), jacobian=bordered)
+
+
 def _fd_jacobian_by_columns(residual, w, r0):
     """The column-by-column loop that ``_fd_jacobian`` replaced, kept as the
     reference for how each entry is rounded."""
