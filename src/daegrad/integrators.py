@@ -170,8 +170,8 @@ def newton_solve(
         J = None if jacobian is None else jacobian(w)
         J = _fd_jacobian(residual, w, r) if J is None else np.asarray(J, dtype=float)
         try:
-            delta = np.linalg.solve(J, np.concatenate([-r, np.zeros(J.shape[0] - r.shape[0])]))
-            delta = delta[: w.shape[0]]
+            k = J.shape[0] - r.shape[0]  # bordered: k more equations with a zero right-hand side
+            delta = np.linalg.solve(J, np.concatenate([-r, np.zeros(k)]) if k else -r)[: w.shape[0]]
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"iteration {it}: {exc}") from exc
         scale = 1.0
@@ -329,8 +329,7 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             if part is None:
                 return None
             diagonal, rank_one = part
-            Jz = (np.matmul if diagonal.ndim == 2 else np.multiply)(S0, diagonal, out=J[:d, :d])
-            np.subtract(A_dt, Jz, out=Jz)
+            np.subtract(A_dt, S0 @ diagonal if diagonal.ndim == 2 else S0 * diagonal, out=J[:d, :d])
             if bordered:
                 J[:d, n] = 0.0 if rank_one is None else -(S0 @ rank_one[0])
                 J[n, :d] = 0.0 if rank_one is None else rank_one[1]
