@@ -252,8 +252,8 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
 
     With a field ``hessian`` (for ``gonzalez``, on ``H`` and every
     constraint), every scheme builds an analytic Jacobian ``A / dt - S
-    dgbar/dz1`` from the gradient's derivative, in ``O(d^2)`` into one
-    buffer per step.  The prepared base's derivative ``diag(k) + outer(u,
+    dgbar/dz1`` from the gradient's derivative, in ``O(d^2)`` into the
+    scheme's one buffer.  The prepared base's derivative ``diag(k) + outer(u,
     v)`` gives ``A / dt - S * k`` bordered by one unknown ``s = v^T dz1``
     (column ``-S u``, row ``v``, corner ``-1``; a zero border without
     ``u``), and for ``dg-index1`` the columns ``-B`` and rows ``(B^T S) *
@@ -276,6 +276,14 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
         kind, gradient_from = None, _augmented_gradient(dae)
     else:
         kind = DiscreteGradientKind("proper" if index1 else scheme.removeprefix("dg-"))
+
+    n = d + B.shape[1] if index1 else d
+    bordered = kind is not None and kind.variant == "proper"
+    J = np.zeros((n + bordered,) * 2)  # one per scheme: a zeroed one per step cost dg-avf ~1 %
+    if index1:
+        J[:d, d:n] = -B
+    if bordered:
+        J[n, n] = -1.0
 
     def build(z, dt):
         S0 = dae.S(z)
@@ -306,13 +314,6 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
         if derivative is None:
             return residual, None, fell_back
         A_dt = A / dt
-        n = d + B.shape[1] if index1 else d
-        bordered = kind is not None and kind.variant == "proper"
-        J = np.zeros((n + bordered,) * 2)  # every build of the step overwrites it
-        if index1:
-            J[:d, d:n] = -B
-        if bordered:
-            J[n, n] = -1.0
 
         away = None  # does S(z0 + probe) equal S(z0)? It does not depend on the iterate
 
