@@ -40,6 +40,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -171,12 +172,13 @@ def newton_solve(
         J = _fd_jacobian(residual, w, r) if J is None else np.asarray(J, dtype=float)
         try:
             k = J.shape[0] - r.shape[0]  # bordered: k more equations with a zero right-hand side
-            delta = np.linalg.solve(J, np.concatenate([-r, np.zeros(k)]) if k else -r)[: w.shape[0]]
+            delta = (np.linalg.solve(J, np.concatenate([-r, np.zeros(k)]))[: w.shape[0]] if k
+                     else np.linalg.solve(J, -r))
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"iteration {it}: {exc}") from exc
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            w_new = w + scale * delta
+            w_new = w + delta if scale == 1.0 else w + scale * delta  # 1.0 * delta is delta
             r_new = np.asarray(residual(w_new), dtype=float)
             rnorm_new = float(np.maximum.reduce(np.abs(r_new)))
             if rnorm_new <= cfg.residual_tol or rnorm_new < rnorm:
@@ -184,10 +186,10 @@ def newton_solve(
             scale *= 0.5
         else:
             raise NoConvergence(it, rnorm, "damping failed to reduce the residual")
-        step_size = scale * float(np.maximum.reduce(np.abs(delta)))
         w, r, rnorm = w_new, r_new, rnorm_new
         if rnorm <= cfg.residual_tol:
             return NewtonResult(w, it, rnorm)
+        step_size = scale * float(np.maximum.reduce(np.abs(delta)))
         if step_size <= _STEP_TOL * (1.0 + float(np.maximum.reduce(np.abs(w)))):
             raise NoConvergence(it, rnorm, "step stagnated")
     raise NoConvergence(cfg.max_iters, rnorm)
@@ -284,6 +286,7 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
         J[:d, d:n] = -B
     if bordered:
         J[n, n] = -1.0
+    over_dt = lru_cache(maxsize=1)(lambda dt: A / dt)  # formed once per dt, not per step
 
     def build(z, dt):
         S0 = dae.S(z)
@@ -313,7 +316,7 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
 
         if derivative is None:
             return residual, None, fell_back
-        A_dt = A / dt
+        A_dt = over_dt(float(dt))
 
         away = None  # does S(z0 + probe) equal S(z0)? It does not depend on the iterate
 
@@ -362,6 +365,10 @@ def _augmented_gradient(dae):
     E G1^T P) / 2, None)``, with ``gbar_j`` the columns of ``Gbar`` and
     ``grad g_j(x1)`` those of ``G1``; ``derivative`` itself is None unless
     every field's midpoint gradient has a derivative (``_has_derivative``).
+    Each ``k`` is constant (the field is hinted ``"quadratic"``) and read
+    once per bound scheme; ``x1``, ``lam1`` and ``Gbar`` come from the last
+    gradient call, made again unless it was at ``z1``, and only ``G1`` is
+    read at every build.
     """
     H, constraints, E = dae.hamiltonian, dae.constraints, dae.subspaces.null_basis
     if H is None:
@@ -373,6 +380,7 @@ def _augmented_gradient(dae):
     P = np.eye(dae.dim) - E @ E.T
     fields = (H, *constraints)
     analytic = all(_has_derivative("midpoint", field) for field in fields)
+    halves = None  # each field's constant k, read at the run's first derivative
 
     def split(z):
         x = P @ z
@@ -381,20 +389,30 @@ def _augmented_gradient(dae):
     def gradient_from(z):
         x0, lam0, g0 = split(z)
         bases = [_PreparedBase(_MIDPOINT, field, x0) for field in fields]
+        last = (None,)  # (z1 bytes, x1, lam1, gbar_j) of the last residual
 
         def gradient(zp):
+            nonlocal last
             x1, lam1, g1 = split(zp)
             w = discrete_gradient_info(_MIDPOINT, H, x1, bases[0])[0]
-            for lam_j, g, base in zip(0.5 * (lam1 + lam0), constraints, bases[1:]):
-                w = w + lam_j * discrete_gradient_info(_MIDPOINT, g, x1, base)[0]
+            gbars = [discrete_gradient_info(_MIDPOINT, g, x1, base)[0]
+                     for g, base in zip(constraints, bases[1:])]
+            for lam_j, gbar_j in zip(0.5 * (lam1 + lam0), gbars):
+                w = w + lam_j * gbar_j
+            last = zp.tobytes(), x1, lam1, gbars
             return P @ w + E @ (0.5 * (g1 + g0))
 
         def derivative(zp):
-            x1, lam1 = P @ zp, E.T @ zp
-            k, *ks = (base.derivative(x1)[0] for base in bases)
+            nonlocal halves
+            if last[0] != zp.tobytes():
+                gradient(zp)
+            _, x1, lam1, gbars = last
+            if halves is None:
+                halves = [base.derivative(x1)[0] for base in bases]
+            k, *ks = halves
             for lam_j, k_j in zip(0.5 * (lam1 + lam0), ks):
                 k = k + lam_j * k_j
-            Gbar = np.array([base(x1)[0] for base in bases[1:]]).T
+            Gbar = np.array(gbars).T
             G1 = np.array([_gradient(g, x1) for g in constraints]).T
             return (P * k) @ P + 0.5 * (P @ Gbar @ E.T + E @ G1.T @ P), None
 
@@ -419,16 +437,19 @@ def _advance(
     fell back there, as the step's own ``fell_back`` tells.  Newton starts
     at ``guess`` when given, and again at ``z`` if that solve fails."""
     residual, jacobian, fell_back = bound.build(z, dt)
-    extra = np.zeros(bound.extra)
+
+    def start(state):  # newton_solve copies its start
+        return np.concatenate([state, np.zeros(bound.extra)]) if bound.extra else state
+
     sol = None
     if guess is not None:
         try:
-            sol = newton_solve(residual, np.concatenate([guess, extra]), cfg, jacobian=jacobian)
+            sol = newton_solve(residual, start(guess), cfg, jacobian=jacobian)
         except NewtonError:
             pass
     if sol is None:
         try:
-            sol = newton_solve(residual, np.concatenate([z, extra]), cfg, jacobian=jacobian)
+            sol = newton_solve(residual, start(z), cfg, jacobian=jacobian)
         except SingularJacobian as exc:
             if bound.free_null_space:
                 raise UnderdeterminedSystem(
@@ -521,7 +542,8 @@ class Trajectory:
 
 
 def _constraint_norm(target, z: np.ndarray) -> float:
-    return float(np.linalg.norm(model.implicit_constraint_residual(target, z)))
+    r = model.implicit_constraint_residual(target, z)
+    return math.sqrt(r @ r)  # bitwise np.linalg.norm of a 1-D float vector
 
 
 def integrate(

@@ -410,3 +410,15 @@ def test_a_fresh_copy_structure_is_probed_away_from_z0_once_per_step(problem, sc
     for s, r, b in steps:
         assert b >= 2  # so that a probe per build would show
         assert s == 1 + r + b + 1
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "friction"])
+def test_a_bound_scheme_forms_a_over_dt_for_each_dt(problem):
+    spec = make_problem(problem)
+    z0 = spec.default_initial_state
+    w = z0 + 0.05 * np.cos(np.arange(5.0))
+    bound = integrators._bind(spec.dae, "gonzalez")
+    derivative = integrators._augmented_gradient(spec.dae)(z0)[1](w)[0]
+    for dt in (0.1, 0.05, 0.1):
+        jacobian = bound.build(z0, dt)[1]
+        assert np.array_equal(jacobian(w), spec.dae.A / dt - spec.dae.S(z0) @ derivative)

@@ -751,6 +751,43 @@ def test_friction_gonzalez_is_second_order():
     assert np.all(np.abs(orders - 2.0) <= 0.1), orders
 
 
+def observed_orders(spec, scheme, dts, reference_dt, part=slice(None)):
+    """``log2`` of successive error ratios at ``T = 1``, each error the max
+    norm of ``part`` of the final state against a run at ``reference_dt``."""
+
+    def final(dt):
+        return integrate(spec.dae, scheme, spec.default_initial_state, dt,
+                         round(1.0 / dt)).final_state[part]
+
+    reference = final(reference_dt)
+    errors = [np.abs(final(dt) - reference).max() for dt in dts]
+    return np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+
+
+@pytest.mark.parametrize("scheme", ["dg-index1", "dg-proper", "dg-avf"])
+def test_sinh_gordon_schemes_are_second_order(scheme):
+    # measured: 1.99, 2.00, 2.02 for each scheme
+    orders = observed_orders(make_problem("sinh-gordon", grid=16), scheme,
+                             (0.2, 0.1, 0.05, 0.025), 0.025 / 8)
+    assert np.all(np.abs(orders - 2.0) <= 0.05), orders
+
+
+def test_pendulum_gonzalez_is_second_order_in_positions_and_velocities():
+    # measured: 2.00, 2.00, 1.99; the multiplier is fixed only as a step average
+    orders = observed_orders(make_problem("pendulum"), "gonzalez",
+                             (0.1, 0.05, 0.025, 0.0125), 0.0125 / 8, slice(0, 4))
+    assert np.all(np.abs(orders - 2.0) <= 0.05), orders
+
+
+def test_smhs_implicit_euler_is_first_order():
+    # a first-order error against a reference at dt_ref reads (h - dt_ref) C,
+    # which biases the finest ratio up: 1.10 at dt_ref = 0.0125 / 8, 1.01 at
+    # the 0.0125 / 64 used here (measured: 1.00, 1.00, 1.01)
+    orders = observed_orders(make_problem("smhs", seed=1), "implicit-euler",
+                             (0.1, 0.05, 0.025, 0.0125), 0.0125 / 64)
+    assert np.all(np.abs(orders - 1.0) <= 0.05), orders
+
+
 # ---------------------------------------------------------- single step
 
 

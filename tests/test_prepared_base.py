@@ -434,3 +434,75 @@ def test_gonzalez_prepares_one_midpoint_base_per_field_per_step(problem, monkeyp
             assert variant == "midpoint" and V is field and np.array_equal(zp, P @ z)
         # each residual still reads every field's midpoint gradient once
         assert residual_calls > 2 and calls == len(fields) * residual_calls
+
+
+def tagged(field, tag, events):
+    """``field`` with each value, gradient and Hessian call appended to
+    ``events`` as ``(tag, kind)``."""
+
+    def count(kind, fn):
+        def wrapped(*args):
+            events.append((tag, kind))
+            return fn(*args)
+
+        return wrapped
+
+    return replace(field, value=count("value", field.value),
+                   gradient=count("gradient", field.gradient),
+                   hessian=count("hessian", field.hessian))
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "friction"])
+def test_gonzalez_reads_each_hessian_once_and_builds_from_the_residual(problem, monkeypatch):
+    spec = make_problem(problem)
+    events = []
+    dae = replace(spec.dae, hamiltonian=tagged(spec.dae.hamiltonian, "H", events),
+                  constraints=tuple(tagged(g, "g", events) for g in spec.dae.constraints))
+    real_newton = integrators.newton_solve
+
+    def newton(residual, w0, *args, jacobian=None, **kwargs):
+        def counted(w):
+            events.append(("residual", np.array(w)))
+            return residual(w)
+
+        def built(w):
+            events.append(("jacobian", np.array(w)))
+            J = jacobian(w)
+            events.append(("built", None))
+            return J
+
+        return real_newton(counted, w0, *args, **kwargs, jacobian=built)
+
+    reference = integrate(spec.dae, "gonzalez", spec.default_initial_state, 0.1, 5)
+    monkeypatch.setattr(integrators, "newton_solve", newton)
+    run = integrate(dae, "gonzalez", spec.default_initial_state, 0.1, 5)
+    assert np.array_equal(run.states(), reference.states())
+    # every field's Hessian is constant: one read per field in the whole run
+    hessians = [e for e in events if e[0] in ("H", "g") and e[1] == "hessian"]
+    assert hessians == [("H", "hessian"), ("g", "hessian")]
+    starts = [i for i, (kind, _) in enumerate(events) if kind == "jacobian"]
+    assert len(starts) == sum(r.newton_iters for r in run.records) > 5
+    for i in starts:
+        # the build follows a residual at the same iterate ...
+        last = max(j for j in range(i) if events[j][0] == "residual")
+        assert np.array_equal(events[last][1], events[i][1])
+        # ... and calls only grad g(x1) afresh, not the midpoint gradients
+        inside = events[i + 1: events.index(("built", None), i)]
+        assert [e for e in inside if e[1] != "hessian"] == [("g", "gradient")] * len(dae.constraints)
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "friction"])
+def test_gonzalez_derivative_matches_the_per_call_derivative_after_any_residual(problem):
+    spec = make_problem(problem)
+    z0 = spec.sample_on_manifold(np.random.default_rng(5), 1)[0]
+    z1 = z0 + 0.05 * np.cos(np.arange(5.0))
+    elsewhere = z0 - 0.03 * np.sin(np.arange(5.0))
+    expected = per_call_augmented_gradient(spec.dae)(z0)[1](z1)[0]
+    gradient, derivative = integrators._augmented_gradient(spec.dae)(z0)
+    direct = derivative(z1)[0]  # no residual yet
+    gradient(z1)
+    reused = derivative(z1)[0]
+    gradient(elsewhere)
+    stale = derivative(z1)[0]
+    for got in (direct, reused, stale):
+        assert np.array_equal(got, expected)

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daegrad.integrators import SCHEMES, integrate
 from daegrad.model import implicit_constraint_residual, verify_structure
@@ -100,6 +102,14 @@ def test_smhs_constraint_is_energy_plus_total(cyclic_samples=None):
         assert np.allclose(g.gradient(z), H.gradient(z) + 1.0, atol=1e-12)
 
 
+def test_smhs_rhs_matches_its_formula_bit_for_bit():
+    spec = make_smhs()
+    M = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    for z in np.random.default_rng(9).normal(size=(20, 3)):
+        w = z * (1.0 + 3.0 * z - z.sum())
+        assert np.array_equal(spec.dae.f(z), 0.5 * (M @ w - (z[[1, 2, 0]] - z) ** 2))
+
+
 def test_smhs_default_state_is_nontrivial():
     spec = make_smhs()
     z0 = spec.default_initial_state
@@ -147,6 +157,18 @@ def test_pendulum_carries_constrained_canonical_form():
     assert spec.gonzalez is spec.dae
     (H,) = [o for o in spec.observers if o.name == "H"]
     assert spec.dae.hamiltonian is H
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), min_size=5, max_size=5))
+def test_pendulum_energy_is_h_plus_lam_g_bit_for_bit(coords):
+    spec = make_problem("pendulum")
+    H, (g,), V = spec.dae.hamiltonian, spec.dae.constraints, spec.dae.V
+    z = np.array(coords)
+    q, v, lam = z[:2], z[2:4], z[4]
+    assert V.value(z) == H.value(z) + lam * g.value(z)
+    expected = np.concatenate([np.array([0.0, 1.0]) + lam * q, v, [g.value(z)]])
+    assert np.array_equal(V.gradient(z), expected)
 
 
 def test_pendulum_is_frictionless_friction():
