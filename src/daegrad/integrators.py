@@ -365,10 +365,9 @@ def _augmented_gradient(dae):
     E G1^T P) / 2, None)``, with ``gbar_j`` the columns of ``Gbar`` and
     ``grad g_j(x1)`` those of ``G1``; ``derivative`` itself is None unless
     every field's midpoint gradient has a derivative (``_has_derivative``).
-    Each ``k`` is constant (the field is hinted ``"quadratic"``) and read
-    once per bound scheme; ``x1``, ``lam1`` and ``Gbar`` come from the last
-    gradient call, made again unless it was at ``z1``, and only ``G1`` is
-    read at every build.
+    Each ``k`` is constant (hint ``"quadratic"``), read once per bound
+    scheme; ``x1``, ``lam1`` and ``Gbar`` come from the last gradient call,
+    made again unless it was at ``z1``; only ``G1`` is read at every build.
     """
     H, constraints, E = dae.hamiltonian, dae.constraints, dae.subspaces.null_basis
     if H is None:

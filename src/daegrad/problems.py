@@ -159,8 +159,9 @@ def _pendulum_fields() -> tuple[ScalarField, ScalarField, ScalarField]:
         return h_value(z) + z[4] * (0.5 * (float(q @ q) - 1.0))
 
     def v_gradient(z):
-        q, v, lam = z[:2], z[2:4], z[4]
-        return np.concatenate([e2 + lam * q, v, [0.5 * (float(q @ q) - 1.0)]])
+        out, q = np.array(z, dtype=float), z[:2]  # the v entries stay
+        out[:2], out[4] = e2 + z[4] * q, 0.5 * (float(q @ q) - 1.0)
+        return out
 
     V = ScalarField(dim=5, value=v_value, gradient=v_gradient, name="V")
     return H, g, V

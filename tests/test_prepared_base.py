@@ -436,28 +436,12 @@ def test_gonzalez_prepares_one_midpoint_base_per_field_per_step(problem, monkeyp
         assert residual_calls > 2 and calls == len(fields) * residual_calls
 
 
-def tagged(field, tag, events):
-    """``field`` with each value, gradient and Hessian call appended to
-    ``events`` as ``(tag, kind)``."""
-
-    def count(kind, fn):
-        def wrapped(*args):
-            events.append((tag, kind))
-            return fn(*args)
-
-        return wrapped
-
-    return replace(field, value=count("value", field.value),
-                   gradient=count("gradient", field.gradient),
-                   hessian=count("hessian", field.hessian))
-
-
 @pytest.mark.parametrize("problem", ["pendulum", "friction"])
 def test_gonzalez_reads_each_hessian_once_and_builds_from_the_residual(problem, monkeypatch):
     spec = make_problem(problem)
     events = []
-    dae = replace(spec.dae, hamiltonian=tagged(spec.dae.hamiltonian, "H", events),
-                  constraints=tuple(tagged(g, "g", events) for g in spec.dae.constraints))
+    dae = replace(spec.dae, hamiltonian=counting(spec.dae.hamiltonian, events),
+                  constraints=tuple(counting(g, events) for g in spec.dae.constraints))
     real_newton = integrators.newton_solve
 
     def newton(residual, w0, *args, jacobian=None, **kwargs):
@@ -478,9 +462,8 @@ def test_gonzalez_reads_each_hessian_once_and_builds_from_the_residual(problem, 
     run = integrate(dae, "gonzalez", spec.default_initial_state, 0.1, 5)
     assert np.array_equal(run.states(), reference.states())
     # every field's Hessian is constant: one read per field in the whole run
-    hessians = [e for e in events if e[0] in ("H", "g") and e[1] == "hessian"]
-    assert hessians == [("H", "hessian"), ("g", "hessian")]
-    starts = [i for i, (kind, _) in enumerate(events) if kind == "jacobian"]
+    assert [kind for kind, *_ in events].count("hessian") == 1 + len(dae.constraints)
+    starts = [i for i, (kind, *_) in enumerate(events) if kind == "jacobian"]
     assert len(starts) == sum(r.newton_iters for r in run.records) > 5
     for i in starts:
         # the build follows a residual at the same iterate ...
@@ -488,7 +471,7 @@ def test_gonzalez_reads_each_hessian_once_and_builds_from_the_residual(problem, 
         assert np.array_equal(events[last][1], events[i][1])
         # ... and calls only grad g(x1) afresh, not the midpoint gradients
         inside = events[i + 1: events.index(("built", None), i)]
-        assert [e for e in inside if e[1] != "hessian"] == [("g", "gradient")] * len(dae.constraints)
+        assert [kind for kind, *_ in inside if kind != "hessian"] == ["gradient"] * len(dae.constraints)
 
 
 @pytest.mark.parametrize("problem", ["pendulum", "friction"])
