@@ -388,7 +388,7 @@ def _augmented_gradient(dae):
     def gradient_from(z):
         x0, lam0, g0 = split(z)
         bases = [_PreparedBase(_MIDPOINT, field, x0) for field in fields]
-        last = (None,)  # (z1 bytes, x1, lam1, gbar_j) of the last residual
+        last = (None,)  # (z1 bytes, x1, lam1, gbar_j) of the last gradient call
 
         def gradient(zp):
             nonlocal last
