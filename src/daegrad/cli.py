@@ -55,13 +55,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _positive(kind):
-    """An argparse ``type`` that parses with ``kind`` and requires a finite ``> 0``."""
+def _positive(kind, or_zero=False):
+    """An argparse ``type`` that parses with ``kind`` and requires a finite
+    ``> 0``, or ``>= 0`` when ``or_zero``."""
+    wanted = "non-negative" if or_zero else "positive"
 
     def parse(text: str):
         value = kind(text)
-        if not (value > 0 and math.isfinite(value)):
-            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+        if not ((value >= 0 if or_zero else value > 0) and value < math.inf):
+            raise argparse.ArgumentTypeError(f"must be finite and {wanted}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -254,7 +256,7 @@ def _check_command(problem: str, grid: int | None, seed: int) -> int:
     if isinstance(dae, LinearGradientDAE) and dae.structure_claim != "none":
         label = dae.structure_claim
         first = dae.S(samples[0])
-        if all(dae.S(z) is first for z in samples[1:]):  # the discrete-gradient residual's rule
+        if all(dae.S(z) is first for z in samples[1:]):  # the discrete-gradient step's one rule
             label += ", constant S"
         print(f"structure: {label}")
         report = verify_structure(dae, samples)
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--newton-max-iters", type=_positive(int), default=NewtonConfig.max_iters, help="Newton iteration cap (default %(default)s)")
     run_p.add_argument("--out", help="CSV output path (default: stdout)")
     run_p.add_argument("--snapshot-every", type=_positive(int), help="also write full states every N steps to <out>.states.csv")
-    run_p.add_argument("--seed", type=int, default=0, help="seed for randomized fixtures (default %(default)s)")
+    run_p.add_argument("--seed", type=_positive(int, or_zero=True), default=0, help="seed for randomized fixtures (default %(default)s)")
     run_p.add_argument(
         "--config",
         action="append",
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="print a structure report for a problem")
     check_p.add_argument("problem", help=f"one of: {', '.join(PROBLEM_NAMES)}")
     check_p.add_argument("--grid", type=int, help="grid size for spatial problems")
-    check_p.add_argument("--seed", type=int, default=0, help="seed for manifold sampling")
+    check_p.add_argument("--seed", type=_positive(int, or_zero=True), default=0, help="seed for manifold sampling")
     return parser
 
 

@@ -1,8 +1,9 @@
 """One-step integrators for linear-gradient DAE systems.
 
 Every scheme solves one residual per step with a damped Newton iteration.
-Its Jacobian is analytic for a discrete-gradient scheme on a constant
-``S`` whose gradient has a derivative: ``dg-avf``, ``dg-proper`` and
+Its Jacobian is analytic for a discrete-gradient scheme whose ``S`` is
+constant, returning one matrix object at every state, and whose gradient
+has a derivative: ``dg-avf``, ``dg-proper`` and
 ``dg-index1`` on a field that supplies its ``hessian``, ``dg-midpoint`` on
 such a field hinted ``"quadratic"``, and ``gonzalez`` when ``H`` and every
 constraint are; every other iteration takes forward differences.
@@ -260,14 +261,12 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     (column ``-S u``, row ``v``, corner ``-1``; a zero border without
     ``u``), and for ``dg-index1`` the columns ``-B`` and rows ``(B^T S) *
     grad^2 V(z1)`` of ``c`` before ``s``; Gonzalez's dense derivative
-    gives ``A / dt - S @ D``.  It holds only for a constant ``S``: where
-    ``S(z1)`` is ``S(z0)``, or where ``S(z1)`` and ``S(z0 + linspace(1, 2,
-    d))`` both equal ``S(z0)`` entry by entry (equality at ``z1`` alone
-    would pass at ``z1 = z0`` for any ``S``, a uniform shift for an ``S``
-    of differences); the probe is evaluated at most once per step.  There
-    the single product and the average agree bit for bit.
-    Elsewhere, and where the derivative is None, it returns None; where
-    the gradient has none at all (``_has_derivative``), there is no Jacobian.
+    gives ``A / dt - S @ D``.  It holds only for a constant ``S``, and
+    ``S`` is constant where ``S(z1)`` is ``S(z0)``, the same object: the
+    residual's single product uses the same rule.  An ``S`` that returns
+    an equal copy, and every other ``S``, gets None, as does a None
+    derivative; where the gradient has none at all (``_has_derivative``),
+    there is no Jacobian.
     """
     if not isinstance(dae, LinearGradientDAE):
         raise ValueError(f"scheme {scheme!r} needs a linear-gradient system")
@@ -318,18 +317,9 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
             return residual, None, fell_back
         A_dt = over_dt(float(dt))
 
-        away = None  # does S(z0 + probe) equal S(z0)? It does not depend on the iterate
-
         def jacobian(w):
-            nonlocal away
             zp = w[:d]
-            S1 = dae.S(zp)
-            constant = S1 is S0
-            if not constant and np.array_equal(S1, S0):
-                if away is None:
-                    away = np.array_equal(dae.S(z + np.linspace(1.0, 2.0, d)), S0)
-                constant = away
-            part = derivative(zp) if constant else None
+            part = derivative(zp) if dae.S(zp) is S0 else None  # the residual's rule
             if part is None:
                 return None
             diagonal, rank_one = part

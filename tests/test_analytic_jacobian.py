@@ -216,19 +216,23 @@ def test_a_state_dependent_structure_stays_on_differences(scheme, monkeypatch):
     assert_same_run(run, reference)
 
 
-@pytest.mark.parametrize("scheme", ["dg-avf", "dg-index1"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_structure_that_a_uniform_shift_keeps_stays_on_differences(scheme, monkeypatch):
-    # S(z) = Mavg (1 + 2 (z_1 - z_0)^2) depends on the state, yet S(z0 + 1) is
-    # S(z0): a probe along the uniform direction passed it as constant at
-    # step 1's first iterate z1 = z0 and built a Jacobian without dS/dz
+    # S(z) = Mavg (1 + 2 D(z)^2), with D a first or a second difference of
+    # z, depends on the state, yet a uniform shift keeps it equal entry by
+    # entry, and for the second difference a linear shift too: a probe along
+    # either would pass it as constant at step 1's first iterate z1 = z0.
+    # Only an S(z1) that is S(z0) counts as constant
     spec = make_problem("sinh-gordon", grid=16)
     z0, Mavg = spec.default_initial_state, spec.dae.S(spec.default_initial_state)
-    dae = replace(spec.dae, S=lambda z: (1.0 + 2.0 * (z[1] - z[0]) ** 2) * Mavg)
-    (run, _), built = runs(monkeypatch, dae, scheme, z0)
-    assert len(built) >= 10 and all(J is None for J in built)
-    monkeypatch.undo()
-    assert_same_run(run, integrate(replace(dae, V=replace(dae.V, hessian=None)), scheme, z0,
-                                   0.1, 10))
+    for D in (lambda z: z[1] - z[0], lambda z: z[2] - 2.0 * z[1] + z[0]):
+        dae = replace(spec.dae, S=lambda z, D=D: (1.0 + 2.0 * D(z) ** 2) * Mavg)
+        assert step(dae, scheme, z0)[1](z0) is None
+        (run, _), built = runs(monkeypatch, dae, scheme, z0)
+        assert len(built) >= 10 and all(J is None for J in built)
+        monkeypatch.undo()
+        assert_same_run(run, integrate(replace(dae, V=replace(dae.V, hessian=None)), scheme,
+                                       z0, 0.1, 10))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -367,14 +371,14 @@ def test_dg_midpoint_on_the_augmented_energy_takes_differences():
 @pytest.mark.parametrize("problem, scheme", [
     ("pendulum", "gonzalez"),
     ("sinh-gordon", "dg-avf"),
+    ("sinh-gordon", "dg-proper"),
     ("sinh-gordon", "dg-index1"),
 ])
-def test_a_fresh_copy_structure_is_probed_away_from_z0_once_per_step(problem, scheme,
-                                                                     monkeypatch):
-    # S returns an equal copy at every call, so each Jacobian build compares
-    # S(z1) with S(z0) and needs S at z0 plus a non-uniform shift as well,
-    # which does not depend on the iterate: one probe per step, on top of
-    # S(z0), one S per residual and one per build
+def test_a_fresh_copy_structure_takes_differences_with_one_s_call_per_build(problem, scheme,
+                                                                            monkeypatch):
+    # S returns an equal copy at every call, which is not the same object,
+    # so S is not constant: each build calls S once, at the iterate, and
+    # returns None, and the step makes one S call at z0 and one per residual
     spec = make_problem(problem, grid=GRID if problem == "sinh-gordon" else None)
     S0 = spec.dae.S(spec.default_initial_state)
     s_calls, residuals, builds, steps = [], [], [], []
@@ -389,7 +393,7 @@ def test_a_fresh_copy_structure_is_probed_away_from_z0_once_per_step(problem, sc
         for seen in (s_calls, residuals, builds):
             seen.clear()
         out = real_advance(*args, **kwargs)
-        steps.append((len(s_calls), len(residuals), len(builds)))
+        steps.append((len(s_calls), len(residuals), list(builds)))
         return out
 
     def newton(residual, w0, *args, jacobian=None, **kwargs):
@@ -398,18 +402,23 @@ def test_a_fresh_copy_structure_is_probed_away_from_z0_once_per_step(problem, sc
             return residual(w)
 
         def built(w):
-            builds.append(1)
-            return jacobian(w)
+            builds.append(jacobian(w))
+            return builds[-1]
 
         return real_newton(counted, w0, *args, **kwargs, jacobian=built)
 
     monkeypatch.setattr(integrators, "_advance", advance)
     monkeypatch.setattr(integrators, "newton_solve", newton)
-    integrate(replace(spec.dae, S=S), scheme, spec.default_initial_state, 0.1, 3)
+    dae = replace(spec.dae, S=S)
+    run = integrate(dae, scheme, spec.default_initial_state, 0.1, 3)
     assert len(steps) == 3
-    for s, r, b in steps:
-        assert b >= 2  # so that a probe per build would show
-        assert s == 1 + r + b + 1
+    for s, r, built in steps:
+        assert len(built) >= 2 and all(J is None for J in built)
+        assert s == 1 + r + len(built)
+    monkeypatch.undo()
+    twin = (without_hessian(dae, "H") if scheme == "gonzalez"
+            else replace(dae, V=replace(dae.V, hessian=None)))
+    assert_same_run(run, integrate(twin, scheme, spec.default_initial_state, 0.1, 3))
 
 
 @pytest.mark.parametrize("problem", ["pendulum", "friction"])

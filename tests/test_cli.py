@@ -88,6 +88,11 @@ def test_friction_run_defaults_to_gonzalez(capsys):
         (),  # no subcommand
         ("run", "--problem", "sinh-gordon", "--scheme", "dg-midpoint"),  # not accepted
         ("run", "--problem", "smhs", "--dt", "inf"),
+        ("run", "--problem", "smhs", "--seed", "-1"),
+        ("run", "--problem", "pendulum", "--seed", "-1"),  # a problem that draws no samples
+        ("check", "pendulum", "--seed", "-1"),
+        # a step count past float range parses, and --dt 0 is refused
+        ("run", "--problem", "smhs", "--steps", "1" + "0" * 400, "--dt", "0"),
     ],
 )
 def test_bad_invocations_exit_one(argv, capsys, tmp_path):
