@@ -312,20 +312,30 @@ def _gradient(V: ScalarField, z) -> np.ndarray:
 
 def _hessian(V: ScalarField, z) -> np.ndarray:
     """The diagonal of ``grad^2 V`` at one point, shape ``(V.dim,)``, or at
-    each row of a ``(k, V.dim)`` stack, shape ``(k, V.dim)``; every Hessian
-    read in the library comes here.  A stack goes to ``V.hessian`` in one
-    call only under the ``"separable"`` hint, so the result never depends
-    on the hint."""
+    each row of a ``(k, V.dim)`` stack through :func:`_rows`, which gives
+    the same result under any hint; every Hessian read in the library comes
+    here."""
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
         return np.asarray(V.hessian(z), dtype=float).reshape(V.dim)
+    return _rows(V, V.hessian, _hessian, z, "hessian")
+
+
+def _rows(V: ScalarField, stacked, one, points, what: str) -> np.ndarray:
+    """``one(V, p)`` at each row ``p`` of a ``(k, V.dim)`` stack, each copied
+    into its row of a fresh array (a field may reuse one buffer), or under
+    the ``"separable"`` hint ``stacked(points)`` in one call, which must
+    return the stack's shape, or ``ValueError`` is raised naming ``what``."""
     if V.hint != "separable":
-        return np.array([_hessian(V, point) for point in z])
-    h = np.asarray(V.hessian(z), dtype=float)
-    if h.shape != z.shape:
-        raise ValueError(f"field {V.name or '<unnamed>'} is hinted 'separable', but its hessian "
-                         f"mapped points of shape {z.shape} to shape {h.shape}")
-    return h
+        rows = np.empty_like(points)
+        for i, point in enumerate(points):
+            rows[i] = one(V, point)
+        return rows
+    out = np.asarray(stacked(points), dtype=float)
+    if out.shape != points.shape:
+        raise ValueError(f"field {V.name or '<unnamed>'} is hinted 'separable', but its {what} "
+                         f"mapped points of shape {points.shape} to shape {out.shape}")
+    return out
 
 
 def _has_derivative(variant: str, V: ScalarField) -> bool:
@@ -437,18 +447,7 @@ class _PreparedBase:
             return _gradient(V, z).copy()
         nodes, weights = _avf_rule()
         points = zp + nodes[:, None] * (z - zp)
-        if V.hint == "separable":
-            grads = np.asarray(V.gradient(points), dtype=float)
-            if grads.shape != points.shape:
-                raise ValueError(
-                    f"field {V.name or '<unnamed>'} is hinted 'separable', but its gradient "
-                    f"mapped points of shape {points.shape} to shape {grads.shape}"
-                )
-        else:
-            grads = np.empty_like(points)
-            for i, point in enumerate(points):
-                grads[i] = _gradient(V, point)
-        return weights @ grads
+        return weights @ _rows(V, V.gradient, _gradient, points, "gradient")
 
     def _corrected_midpoint(self, z, delta, dd):
         """``grad V`` at the midpoint plus the rank-one chain-rule correction."""

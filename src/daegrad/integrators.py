@@ -1,19 +1,18 @@
 """One-step integrators for linear-gradient DAE systems.
 
-Every scheme solves one residual per step with a damped Newton iteration.
-Its Jacobian is analytic for a discrete-gradient scheme whose ``S`` is
-constant, returning one matrix object at every state, and whose gradient
-has a derivative: ``dg-avf``, ``dg-proper`` and
-``dg-index1`` on a field that supplies its ``hessian``, ``dg-midpoint`` on
-such a field hinted ``"quadratic"``, and ``gonzalez`` when ``H`` and every
-constraint are; every other iteration takes forward differences.
-The schemes, by name:
+Every scheme is the one step equation that :func:`_bind` states, solved
+for the new state with a damped Newton iteration.  Its Jacobian is
+analytic for a discrete-gradient scheme whose ``S`` is constant, returning
+one matrix object at every state, and whose gradient has a derivative:
+``dg-avf``, ``dg-proper`` and ``dg-index1`` on a field that supplies its
+``hessian``, ``dg-midpoint`` on such a field hinted ``"quadratic"``, and
+``gonzalez`` when ``H`` and every constraint are; every other iteration
+takes forward differences.  The schemes, by name and right-hand side ``F``:
 
-* ``implicit-euler`` - ``A (z1 - z0) = dt f(z1)``; conserves any linear
-  invariant whose gradient avoids the null space of ``A``.
-* ``dg-avf``, ``dg-midpoint``, ``dg-proper`` - the discrete-gradient
-  scheme ``A (z1 - z0) = dt Sbar gbar(z1, z0)`` with the named discrete
-  gradient and ``Sbar`` the endpoint average of ``S``.
+* ``implicit-euler`` - ``f``; conserves any linear invariant whose
+  gradient avoids the null space of ``A``.
+* ``dg-avf``, ``dg-midpoint``, ``dg-proper`` - ``Sbar gbar(z1, z0)`` with
+  the named discrete gradient and ``Sbar`` the endpoint average of ``S``.
 * ``dg-index1`` - the interior-division scheme for index-1 systems,
   augmented with a redundant null-space force ``B c`` and the explicit
   constraint block ``B^T S(z1) grad V(z1) = 0``, which lands every step
@@ -24,15 +23,7 @@ The schemes, by name:
 
 ``integrate`` drives a run of any of them, records per-step diagnostics,
 and returns the partial trajectory inside a :class:`StepFailure` if a step
-fails mid-run.  Whether a step's gradient fell back is what the step's own
-prepared gradient reports from its last call, with no second evaluation.
-The first Newton solve of a run starts at ``z0``.  From
-the second step on, it starts at the line ``2 z_m - z_{m-1}`` through the
-last two states, and solves again from ``z_m`` if that start fails.  A
-plain discrete-gradient scheme on a singular ``A`` leaves the null-space
-components to the algebraic rows; it gets the line start only on a
-system that is index 1 at ``z0`` (the algebraic rows fix those components
-there), and otherwise keeps starting at ``z_m``.
+fails mid-run; its docstring says where each Newton solve starts.
 """
 
 from __future__ import annotations
@@ -215,29 +206,16 @@ class _Scheme(NamedTuple):
     free_null_space: bool = False
 
 
-def _implicit_euler(dae) -> _Scheme:
-    """``A (z1 - z0) / dt = f(z1)``.
+def _bind(dae, scheme: str) -> _Scheme:
+    """``scheme`` bound to the system ``dae``.  Every scheme solves, for
+    ``z1``, the one step equation
 
-    For uniform index-1 systems the result satisfies the implicit
-    constraint to solver tolerance, because the constraint equations are a
-    fixed linear combination of the residual rows.
-    """
-    if not isinstance(dae, (GeneralDAE, LinearGradientDAE)):
-        raise ValueError("scheme 'implicit-euler' needs a system A z' = f(z)")
-    A = dae.A
+        A (z1 - z0) / dt = F(z1) ,
 
-    def build(z, dt):
-        def residual(zp):
-            return A @ (zp - z) / dt - np.asarray(dae.f(zp), dtype=float)
-
-        return residual, None, None
-
-    return _Scheme(build)
-
-
-def _discrete_gradient(dae, scheme: str) -> _Scheme:
-    """``A (z1 - z0) / dt = Sbar gbar(z1, z0)``, ``Sbar = (S(z1) + S(z0)) / 2``.
-
+    ``F = f`` for ``implicit-euler``, which meets the implicit constraint of
+    a uniform index-1 system to solver tolerance (its constraint equations
+    are a fixed linear combination of the residual rows), and ``F = Sbar
+    gbar(z1, z0)``, ``Sbar = (S(z1) + S(z0)) / 2``, for a discrete gradient.
     ``dg-index1`` uses the interior-division gradient and solves, for
     ``(z1, c)`` with ``c`` of length ``nullity(A)``,
 
@@ -248,26 +226,40 @@ def _discrete_gradient(dae, scheme: str) -> _Scheme:
     block lands every step exactly on the constraint manifold; the
     redundant force ``c`` is zero in exact arithmetic, and its computed
     size is a solver diagnostic.  ``gonzalez`` uses :func:`_augmented_gradient`.
-    Every scheme prepares its discrete gradient at ``z0`` once per step.
-    The constraint block is ``(B^T S) grad V(z1)``: it reads the
-    ``grad V(z1)`` that the interior-division gradient evaluated, and forms
-    ``B^T S(z0)`` once per step for a constant ``S``.
+    Every discrete gradient is prepared at ``z0`` once per step.  The
+    constraint block is ``(B^T S) grad V(z1)``: it reads the ``grad V(z1)``
+    that the interior-division gradient evaluated, and forms ``B^T S(z0)``
+    once per step for a constant ``S``.
 
     With a field ``hessian`` (for ``gonzalez``, on ``H`` and every
-    constraint), every scheme builds an analytic Jacobian ``A / dt - S
-    dgbar/dz1`` from the gradient's derivative, in ``O(d^2)`` into the
-    scheme's one buffer.  The prepared base's derivative ``diag(k) + outer(u,
-    v)`` gives ``A / dt - S * k`` bordered by one unknown ``s = v^T dz1``
-    (column ``-S u``, row ``v``, corner ``-1``; a zero border without
-    ``u``), and for ``dg-index1`` the columns ``-B`` and rows ``(B^T S) *
-    grad^2 V(z1)`` of ``c`` before ``s``; Gonzalez's dense derivative
-    gives ``A / dt - S @ D``.  It holds only for a constant ``S``, and
-    ``S`` is constant where ``S(z1)`` is ``S(z0)``, the same object: the
-    residual's single product uses the same rule.  An ``S`` that returns
-    an equal copy, and every other ``S``, gets None, as does a None
+    constraint), a discrete-gradient scheme builds an analytic Jacobian
+    ``A / dt - S dgbar/dz1`` from the gradient's derivative, in ``O(d^2)``
+    into the scheme's one buffer.  The prepared base's derivative
+    ``diag(k) + outer(u, v)`` gives ``A / dt - S * k`` bordered by one
+    unknown ``s = v^T dz1`` (column ``-S u``, row ``v``, corner ``-1``; a
+    zero border without ``u``), and for ``dg-index1`` the columns ``-B`` and
+    rows ``(B^T S) * grad^2 V(z1)`` of ``c`` before ``s``; Gonzalez's dense
+    derivative gives ``A / dt - S @ D``.  It holds only for a constant
+    ``S``, and ``S`` is constant where ``S(z1)`` is ``S(z0)``, the same
+    object: the residual's single product uses the same rule.  An ``S`` that
+    returns an equal copy, and every other ``S``, gets None, as does a None
     derivative; where the gradient has none at all (``_has_derivative``),
     there is no Jacobian.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; available: {', '.join(SCHEMES)}")
+    if scheme == "implicit-euler":
+        if not isinstance(dae, (GeneralDAE, LinearGradientDAE)):
+            raise ValueError("scheme 'implicit-euler' needs a system A z' = f(z)")
+        A = dae.A
+
+        def build(z, dt):
+            def residual(zp):
+                return A @ (zp - z) / dt - np.asarray(dae.f(zp), dtype=float)
+
+            return residual, None, None
+
+        return _Scheme(build)
     if not isinstance(dae, LinearGradientDAE):
         raise ValueError(f"scheme {scheme!r} needs a linear-gradient system")
     index1 = scheme == "dg-index1"
@@ -408,14 +400,6 @@ def _augmented_gradient(dae):
         return gradient, derivative if analytic else None
 
     return gradient_from
-
-
-def _bind(target, scheme: str) -> _Scheme:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; available: {', '.join(SCHEMES)}")
-    if scheme == "implicit-euler":
-        return _implicit_euler(target)
-    return _discrete_gradient(target, scheme)
 
 
 def _advance(

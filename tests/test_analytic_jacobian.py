@@ -68,6 +68,22 @@ def test_a_separable_hessian_of_the_wrong_shape_is_refused():
         gradients._hessian(field, np.zeros((7, 3)))
 
 
+def test_a_hessian_written_into_one_buffer_gives_the_fresh_array_run():
+    # a general field's stack is read point by point; each row must be
+    # copied out before the next call overwrites the field's buffer
+    spec = make_problem("sinh-gordon", grid=16)
+    fresh = replace(spec.dae.V, hint="general")
+    buffer = np.empty(fresh.dim)
+    reused = replace(fresh, hessian=lambda u: np.cosh(u, out=buffer))
+    points = np.linspace(-2.0, 2.0, 7 * fresh.dim).reshape(7, fresh.dim)
+    assert np.array_equal(gradients._hessian(reused, points),
+                          [gradients._hessian(fresh, p) for p in points])
+    runs = [integrate(replace(spec.dae, V=V), "dg-avf", spec.default_initial_state, 0.5, 40)
+            for V in (reused, fresh)]
+    assert np.array_equal(runs[0].states(), runs[1].states())
+    assert [r.newton_iters for r in runs[0].records] == [r.newton_iters for r in runs[1].records]
+
+
 def test_hessian_follows_name_so_positional_construction_is_unchanged():
     names = list(ScalarField.__dataclass_fields__)
     assert names[-2:] == ["name", "hessian"]

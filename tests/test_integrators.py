@@ -1,6 +1,7 @@
 """Tests for the Newton kernel, one-step maps, and the driver."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -794,23 +795,24 @@ def test_smhs_implicit_euler_is_first_order():
 
 
 @pytest.mark.parametrize(
-    "target, scheme",
+    "target, scheme, message",
     [
-        ("general", "dg-avf"),
-        ("general", "dg-midpoint"),
-        ("general", "dg-proper"),
-        ("general", "dg-index1"),
-        ("general", "gonzalez"),
-        ("linear", "gonzalez"),
-        ("linear", "leapfrog"),
+        ("general", "dg-avf", "'dg-avf' needs a linear-gradient system"),
+        ("general", "dg-midpoint", "'dg-midpoint' needs a linear-gradient system"),
+        ("general", "dg-proper", "'dg-proper' needs a linear-gradient system"),
+        ("general", "dg-index1", "'dg-index1' needs a linear-gradient system"),
+        ("general", "gonzalez", "'gonzalez' needs a linear-gradient system"),
+        ("linear", "gonzalez", "'gonzalez' needs a system that declares its hamiltonian"),
+        ("linear", "leapfrog", "unknown scheme 'leapfrog'; available: implicit-euler, dg-avf, "),
     ],
 )
-def test_step_rejects_mismatched_or_unknown_scheme(target, scheme):
+def test_step_rejects_mismatched_or_unknown_scheme(target, scheme, message):
+    # each refusal comes from binding the scheme, before the start state is read
     system = {
         "general": make_problem("smhs").dae,
         "linear": rotation_system(),
     }[target]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(message)):
         integrate(system, scheme, np.zeros(5), 0.1, 1)
 
 
