@@ -7,7 +7,9 @@ one matrix object at every state, and whose gradient has a derivative:
 ``dg-avf``, ``dg-proper`` and ``dg-index1`` on a field that supplies its
 ``hessian``, ``dg-midpoint`` on such a field hinted ``"quadratic"``, and
 ``gonzalez`` when ``H`` and every constraint are; every other iteration
-takes forward differences.  The schemes, by name and right-hand side ``F``:
+takes forward differences.  An analytic build writes only the entries where
+``A`` or ``S`` is nonzero, found once per ``S`` object and ``dt``, unless
+they fill over a quarter of the block.  The schemes, by name and ``F``:
 
 * ``implicit-euler`` - ``f``; conserves any linear invariant whose
   gradient avoids the null space of ``A``.
@@ -32,7 +34,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -81,6 +82,7 @@ SCHEMES = (
 
 _MAX_HALVINGS = 20
 _STEP_TOL = 1e-14
+_FD_STEP = 2.0**-26  # sqrt(eps), exactly
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ def _fd_jacobian(residual, w, r0):
     which rounds every entry as a per-column difference would.  Returns the
     transposed view, an F-ordered ``(len(r0), len(w))`` array.
     """
-    h = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.maximum.reduce(np.abs(w))))
+    h = _FD_STEP * (1.0 + float(np.maximum.reduce(np.abs(w))))
     rows = np.empty((w.shape[0], r0.shape[0]))
     for j in range(w.shape[0]):
         wj = w.copy()
@@ -229,13 +231,16 @@ def _bind(dae, scheme: str) -> _Scheme:
     Every discrete gradient is prepared at ``z0`` once per step.  The
     constraint block is ``(B^T S) grad V(z1)``: it reads the ``grad V(z1)``
     that the interior-division gradient evaluated, and forms ``B^T S(z0)``
-    once per step for a constant ``S``.
+    once per ``S`` object.
 
     With a field ``hessian`` (for ``gonzalez``, on ``H`` and every
     constraint), a discrete-gradient scheme builds an analytic Jacobian
-    ``A / dt - S dgbar/dz1`` from the gradient's derivative, in ``O(d^2)``
-    into the scheme's one buffer.  The prepared base's derivative
-    ``diag(k) + outer(u, v)`` gives ``A / dt - S * k`` bordered by one
+    ``A / dt - S dgbar/dz1`` from the gradient's derivative into the
+    scheme's one buffer.  The prepared base's derivative
+    ``diag(k) + outer(u, v)`` gives ``A / dt - S * k``, rounded entry by
+    entry as the dense formula is but written only where ``A`` or ``S`` is
+    nonzero, unless those fill over a quarter of the block (found again, on
+    a zeroed block, for each new ``S`` object or ``dt``).  It is bordered by one
     unknown ``s = v^T dz1`` (column ``-S u``, row ``v``, corner ``-1``; a
     zero border without ``u``), and for ``dg-index1`` the columns ``-B`` and
     rows ``(B^T S) * grad^2 V(z1)`` of ``c`` before ``s``; Gonzalez's dense
@@ -277,10 +282,18 @@ def _bind(dae, scheme: str) -> _Scheme:
         J[:d, d:n] = -B
     if bordered:
         J[n, n] = -1.0
-    over_dt = lru_cache(maxsize=1)(lambda dt: A / dt)  # formed once per dt, not per step
+    held = (None,)  # (S, dt, A / dt, B^T S, nonzeros), read once per S object and dt
 
     def build(z, dt):
+        nonlocal held
         S0 = dae.S(z)
+        if held[0] is not S0 or held[1] != dt:
+            A_dt = A / dt
+            at = np.nonzero((A_dt != 0.0) | (S0 != 0.0))
+            J[:d, :d] = 0.0  # no entry of an earlier pattern may survive
+            nonzeros = (at, A_dt[at], S0[at]) if 4 * at[0].size <= d * d else None
+            held = S0, dt, A_dt, B.T @ S0 if index1 else None, nonzeros
+        A_dt, BtS0, nonzeros = held[2:]
         if kind is None:
             (gradient, derivative), fell_back = gradient_from(z), None
         else:
@@ -290,8 +303,6 @@ def _bind(dae, scheme: str) -> _Scheme:
 
             def gradient(zp):
                 return discrete_gradient_info(kind, V, zp, base)[0]
-
-        BtS0 = B.T @ S0 if index1 else None
 
         def residual(w):
             zp = w[:d]
@@ -307,7 +318,6 @@ def _bind(dae, scheme: str) -> _Scheme:
 
         if derivative is None:
             return residual, None, fell_back
-        A_dt = over_dt(float(dt))
 
         def jacobian(w):
             zp = w[:d]
@@ -315,7 +325,12 @@ def _bind(dae, scheme: str) -> _Scheme:
             if part is None:
                 return None
             diagonal, rank_one = part
-            np.subtract(A_dt, S0 @ diagonal if diagonal.ndim == 2 else S0 * diagonal, out=J[:d, :d])
+            if diagonal.ndim == 1 and nonzeros is not None:
+                at, a, s = nonzeros
+                J[at] = a - s * diagonal[at[1]]  # rounds each entry as the dense write does
+            else:
+                np.subtract(A_dt, S0 @ diagonal if diagonal.ndim == 2 else S0 * diagonal,
+                            out=J[:d, :d])
             if bordered:
                 J[:d, n] = 0.0 if rank_one is None else -(S0 @ rank_one[0])
                 J[n, :d] = 0.0 if rank_one is None else rank_one[1]
@@ -607,7 +622,7 @@ def integrate(
                 state=z.copy(),
                 invariant_values=observe(z),
                 constraint_residual_norm=_constraint_norm(target, z),
-                redundant_c_norm=float(np.linalg.norm(c)) if c.size else 0.0,
+                redundant_c_norm=math.sqrt(c @ c),  # bitwise np.linalg.norm
                 newton_iters=sol.iters,
                 newton_residual=sol.residual_norm,
                 fallback_used=fallback,

@@ -31,13 +31,13 @@ SCHEMES = ("dg-index1", "dg-proper", "dg-avf")
 GRID = 8
 
 
-def lattice(field: str) -> tuple[LinearGradientDAE, np.ndarray]:
-    """The sinh-gordon system at grid 8, with its cosh sum or a convex
-    quartic as ``V``, and its start state."""
-    spec = make_problem("sinh-gordon", grid=GRID)
+def lattice(field: str, grid: int = GRID) -> tuple[LinearGradientDAE, np.ndarray]:
+    """The sinh-gordon system at ``grid`` (8 by default), with its cosh sum
+    or a convex quartic as ``V``, and its start state."""
+    spec = make_problem("sinh-gordon", grid=grid)
     dae = spec.dae
     if field == "quartic":
-        dae = replace(dae, V=convex_quartic_field(np.linspace(0.5, 1.5, GRID), name="H"))
+        dae = replace(dae, V=convex_quartic_field(np.linspace(0.5, 1.5, grid), name="H"))
     return dae, spec.default_initial_state
 
 
@@ -106,24 +106,31 @@ def schur(J, n):
 
 
 def dense_jacobian(dae, scheme, z0, w, dt=0.1):
-    """The reference formula: the Newton matrix of a ``dg-proper`` or
-    ``dg-index1`` step assembled densely, ``A / dt - S * k - outer(S u, v)``
-    from the derivative ``diag(k) + outer(u, v)``, and for ``dg-index1`` the
-    block ``[[that, -B], [(B^T S) * grad^2 V(z1), 0]]``."""
-    S = dae.S(z0)
-    base = gradients._PreparedBase(gradients._PROPER, dae.V, z0)
-    diagonal, rank_one = base.derivative(w[:dae.dim])
+    """The reference formula: the Newton matrix of a ``dg-avf``,
+    ``dg-proper`` or ``dg-index1`` step from ``z0`` at the iterate ``w``,
+    every entry written densely.  From the derivative ``diag(k) + outer(u,
+    v)`` it is ``A / dt - S * k``; for ``dg-index1`` followed by the columns
+    ``-B`` and rows ``(B^T S) * grad^2 V(z1)`` of ``c``; and for the proper
+    gradient bordered by one unknown: column ``-S u``, row ``v``, corner
+    ``-1`` (a zero border without ``u``)."""
+    S, d = dae.S(z0), dae.dim
+    kind = gradients._AVF if scheme == "dg-avf" else gradients._PROPER
+    base = gradients._PreparedBase(kind, dae.V, z0)
+    diagonal, rank_one = base.derivative(w[:d])
     J = dae.A / dt - S * diagonal
-    if rank_one is not None:
-        J -= np.outer(S @ rank_one[0], rank_one[1])
-    if scheme == "dg-proper":
+    if scheme == "dg-avf":
         return J
-    B = dae.subspaces.range_perp_basis
-    return np.block([[J, -B], [(B.T @ S) * base.hess, np.zeros((B.shape[1],) * 2)]])
+    B = dae.subspaces.range_perp_basis if scheme == "dg-index1" else np.zeros((d, 0))
+    column, v = (np.zeros(d), np.zeros(d)) if rank_one is None else (-(S @ rank_one[0]),
+                                                                    rank_one[1])
+    l = B.shape[1]
+    return np.block([[J, -B, column[:, None]],
+                     [(B.T @ S) * base.hess, np.zeros((l, l + 1))],
+                     [v, np.zeros(l), -1.0]])
 
 
 def iterate(z0, extra, at):
-    z1 = z0 if at == "coincident" else z0 + 0.05 * np.cos(np.arange(GRID))
+    z1 = z0 if at == "coincident" else z0 + 0.05 * np.cos(np.arange(z0.shape[0]))
     return np.concatenate([z1, 0.01 * np.ones(extra)])
 
 
@@ -160,8 +167,90 @@ def test_bordered_newton_step_matches_the_dense_newton_step(scheme, field, at):
     r = residual(w)
     jacobian(iterate(z0, extra, "apart"))  # no border of an earlier build may survive
     bordered = np.linalg.solve(jacobian(w), np.concatenate([-r, [0.0]]))[:n]
-    dense = np.linalg.solve(dense_jacobian(dae, scheme, z0, w), -r)
+    dense = np.linalg.solve(schur(dense_jacobian(dae, scheme, z0, w), n), -r)
     assert np.abs(bordered - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def assert_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def checked_run(monkeypatch, dae, scheme, z0, steps=40, dt=0.1):
+    """The run as it is, with every analytic build checked bit for bit
+    against :func:`dense_jacobian`, and its count; then the run with every
+    Jacobian taken from :func:`dense_jacobian` itself."""
+    real_bind, builds = integrators._bind, []
+
+    def bind(dae, scheme, reference=False):
+        bound = real_bind(dae, scheme)
+
+        def build(z, dt):
+            residual, jacobian, fell_back = bound.build(z, dt)
+
+            def checked(w):
+                J = jacobian(w)
+                if J is not None:
+                    dense = dense_jacobian(dae, scheme, z, w, dt)
+                    assert_bits(J, dense)
+                    builds.append(1)
+                    J = dense if reference else J
+                return J
+
+            return residual, checked, fell_back
+
+        return bound._replace(build=build)
+
+    monkeypatch.setattr(integrators, "_bind", bind)
+    run = integrate(dae, scheme, z0, dt, steps)
+    count = len(builds)
+    monkeypatch.setattr(integrators, "_bind", lambda dae, scheme: bind(dae, scheme, True))
+    assert_same_run(run, integrate(dae, scheme, z0, dt, steps))
+    return run, count
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("field", ["cosh", "quartic"])
+@pytest.mark.parametrize("grid", [3, 4, GRID, 32])
+def test_every_analytic_build_is_the_dense_formula_bit_for_bit(scheme, field, grid,
+                                                               monkeypatch):
+    # A and S are nonzero on two of the grid's diagonals: at grids 3 and 4
+    # that is more than a quarter of the block, which takes the dense write;
+    # from grid 8 on, each build writes only those entries
+    dae, z0 = lattice(field, grid)
+    run, count = checked_run(monkeypatch, dae, scheme, z0)
+    assert count == sum(r.newton_iters for r in run.records) > 40
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_dense_structure_builds_the_dense_formula_bit_for_bit(scheme, monkeypatch):
+    from test_random_index1 import make_system
+
+    dae, z0, _, _ = make_system(12, 2, 3, "cosh")
+    assert np.count_nonzero(dae.S(z0)) == 12 * 12
+    run, count = checked_run(monkeypatch, dae, scheme, z0)
+    assert count == sum(r.newton_iters for r in run.records) > 40
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("grid", [GRID, 16])
+def test_a_bound_scheme_keeps_no_entry_of_an_earlier_structure_or_dt(scheme, grid):
+    # S switches between constant objects of different sparsity: Mavg on
+    # A's two diagonals, Mavg + 0.05 D D^T on three (more than a quarter of
+    # the block at grid 8, so there the build switches between the dense
+    # write and the pattern write), and Mavg^T, nonzero on a diagonal where
+    # A is zero and zero on one where A is not
+    dae, z0 = lattice("cosh", grid)
+    Mavg = dae.S(z0)
+    structures = (Mavg, Mavg + 0.05 * dae.A @ dae.A.T, Mavg, Mavg.T.copy(), Mavg)
+    current = [Mavg]
+    dae = replace(dae, S=lambda z: current[0])
+    bound = integrators._bind(dae, scheme)
+    w = iterate(z0, bound.extra, "apart")
+    for dt in (0.1, 0.05):
+        for S in structures:
+            current[0] = S
+            jacobian = bound.build(z0, dt)[1]
+            assert_bits(jacobian(w), dense_jacobian(dae, scheme, z0, w, dt))
 
 
 def test_degenerate_curvature_takes_differences():
