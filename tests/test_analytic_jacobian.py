@@ -26,6 +26,7 @@ from daegrad.gradients import (
 from daegrad.integrators import integrate
 from daegrad.model import LinearGradientDAE
 from daegrad.problems import make_problem
+from test_random_index1 import make_system
 
 SCHEMES = ("dg-index1", "dg-proper", "dg-avf")
 GRID = 8
@@ -223,8 +224,6 @@ def test_every_analytic_build_is_the_dense_formula_bit_for_bit(scheme, field, gr
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_dense_structure_builds_the_dense_formula_bit_for_bit(scheme, monkeypatch):
-    from test_random_index1 import make_system
-
     dae, z0, _, _ = make_system(12, 2, 3, "cosh")
     assert np.count_nonzero(dae.S(z0)) == 12 * 12
     run, count = checked_run(monkeypatch, dae, scheme, z0)
