@@ -7,9 +7,8 @@ one matrix object at every state, and whose gradient has a derivative:
 ``dg-avf``, ``dg-proper`` and ``dg-index1`` on a field that supplies its
 ``hessian``, ``dg-midpoint`` on such a field hinted ``"quadratic"``, and
 ``gonzalez`` when ``H`` and every constraint are; every other iteration
-takes forward differences.  An analytic build writes only the entries where
-``A`` or ``S`` is nonzero, found once per ``S`` object and ``dt``, unless
-they fill over a quarter of the block.  The schemes, by name and ``F``:
+takes forward differences; an analytic build writes only where ``A`` or ``S``
+is nonzero.  The schemes, by name and right-hand side ``F``:
 
 * ``implicit-euler`` - ``f``; conserves any linear invariant whose
   gradient avoids the null space of ``A``.
@@ -34,6 +33,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -237,13 +237,12 @@ def _bind(dae, scheme: str) -> _Scheme:
     constraint), a discrete-gradient scheme builds an analytic Jacobian
     ``A / dt - S dgbar/dz1`` from the gradient's derivative into the
     scheme's one buffer.  The prepared base's derivative
-    ``diag(k) + outer(u, v)`` gives ``A / dt - S * k``, rounded entry by
-    entry as the dense formula is but written only where ``A`` or ``S`` is
-    nonzero, unless those fill over a quarter of the block (found again, on
-    a zeroed block, for each new ``S`` object or ``dt``).  It is bordered by one
-    unknown ``s = v^T dz1`` (column ``-S u``, row ``v``, corner ``-1``; a
-    zero border without ``u``), and for ``dg-index1`` the columns ``-B`` and
-    rows ``(B^T S) * grad^2 V(z1)`` of ``c`` before ``s``; Gonzalez's dense
+    ``diag(k) + outer(u, v)`` gives ``A / dt - S * k``, written only where
+    ``A`` or ``S`` is nonzero (read on a zeroed block at the first build
+    after a new ``S`` object or ``dt``) and bordered by one unknown
+    ``s = v^T dz1`` (column ``-S u``, row ``v``, corner ``-1``; a zero border
+    without ``u``), and for ``dg-index1`` the columns ``-B`` and rows
+    ``(B^T S) * grad^2 V(z1)`` of ``c`` before ``s``; Gonzalez's dense
     derivative gives ``A / dt - S @ D``.  It holds only for a constant
     ``S``, and ``S`` is constant where ``S(z1)`` is ``S(z0)``, the same
     object: the residual's single product uses the same rule.  An ``S`` that
@@ -282,18 +281,15 @@ def _bind(dae, scheme: str) -> _Scheme:
         J[:d, d:n] = -B
     if bordered:
         J[n, n] = -1.0
-    held = (None,)  # (S, dt, A / dt, B^T S, nonzeros), read once per S object and dt
+    over_dt = lru_cache(maxsize=1)(lambda dt: A / dt)  # formed once per dt, not per step
+    held = [None]  # S and B^T S, formed once per S object
+    nonzeros = [None]  # S, dt, positions, and A / dt and S there: read at first use
 
     def build(z, dt):
-        nonlocal held
         S0 = dae.S(z)
-        if held[0] is not S0 or held[1] != dt:
-            A_dt = A / dt
-            at = np.nonzero((A_dt != 0.0) | (S0 != 0.0))
-            J[:d, :d] = 0.0  # no entry of an earlier pattern may survive
-            nonzeros = (at, A_dt[at], S0[at]) if 4 * at[0].size <= d * d else None
-            held = S0, dt, A_dt, B.T @ S0 if index1 else None, nonzeros
-        A_dt, BtS0, nonzeros = held[2:]
+        if held[0] is not S0:
+            held[:] = S0, B.T @ S0 if index1 else None
+        BtS0 = held[1]
         if kind is None:
             (gradient, derivative), fell_back = gradient_from(z), None
         else:
@@ -325,12 +321,16 @@ def _bind(dae, scheme: str) -> _Scheme:
             if part is None:
                 return None
             diagonal, rank_one = part
-            if diagonal.ndim == 1 and nonzeros is not None:
-                at, a, s = nonzeros
-                J[at] = a - s * diagonal[at[1]]  # rounds each entry as the dense write does
+            if diagonal.ndim == 2:  # gonzalez's dense derivative
+                np.subtract(over_dt(float(dt)), S0 @ diagonal, out=J[:d, :d])
             else:
-                np.subtract(A_dt, S0 @ diagonal if diagonal.ndim == 2 else S0 * diagonal,
-                            out=J[:d, :d])
+                if nonzeros[0] is not S0 or nonzeros[1] != dt:
+                    A_dt = over_dt(float(dt))
+                    at = np.nonzero((A_dt != 0.0) | (S0 != 0.0))
+                    J[:d, :d] = 0.0  # no entry of an earlier pattern may survive
+                    nonzeros[:] = S0, dt, at, A_dt[at], S0[at]
+                at, a, s = nonzeros[2:]
+                J[at] = a - s * diagonal[at[1]]  # rounds each entry as A / dt - S * k does
             if bordered:
                 J[:d, n] = 0.0 if rank_one is None else -(S0 @ rank_one[0])
                 J[n, :d] = 0.0 if rank_one is None else rank_one[1]

@@ -23,10 +23,9 @@ from daegrad.gradients import (
     midpoint_gradient,
     quadratic_field,
 )
-from daegrad.integrators import integrate
+from daegrad.integrators import integrate, project_to_constraint
 from daegrad.model import LinearGradientDAE
 from daegrad.problems import make_problem
-from test_random_index1 import make_system
 
 SCHEMES = ("dg-index1", "dg-proper", "dg-avf")
 GRID = 8
@@ -214,9 +213,8 @@ def checked_run(monkeypatch, dae, scheme, z0, steps=40, dt=0.1):
 @pytest.mark.parametrize("grid", [3, 4, GRID, 32])
 def test_every_analytic_build_is_the_dense_formula_bit_for_bit(scheme, field, grid,
                                                                monkeypatch):
-    # A and S are nonzero on two of the grid's diagonals: at grids 3 and 4
-    # that is more than a quarter of the block, which takes the dense write;
-    # from grid 8 on, each build writes only those entries
+    # A and S are nonzero on two of the grid's diagonals, which at grids 3
+    # and 4 fill most of the block and at grid 32 a sixteenth of it
     dae, z0 = lattice(field, grid)
     run, count = checked_run(monkeypatch, dae, scheme, z0)
     assert count == sum(r.newton_iters for r in run.records) > 40
@@ -224,8 +222,16 @@ def test_every_analytic_build_is_the_dense_formula_bit_for_bit(scheme, field, gr
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_dense_structure_builds_the_dense_formula_bit_for_bit(scheme, monkeypatch):
-    dae, z0, _, _ = make_system(12, 2, 3, "cosh")
-    assert np.count_nonzero(dae.S(z0)) == 12 * 12
+    # an index-1 system as in test_random_index1: A = U diag(sigma, 0) W^T,
+    # S = A K + B E^T with K skew, every entry of A and S nonzero
+    rng = np.random.default_rng(3)
+    U, W = (np.linalg.qr(rng.normal(size=(12, 12)))[0] for _ in range(2))
+    A = (U[:, :10] * rng.uniform(0.5, 2.0, size=10)) @ W[:, :10].T
+    M = rng.normal(size=(12, 12))
+    S = A @ (M - M.T) + U[:, 10:] @ W[:, 10:].T
+    dae = LinearGradientDAE(A, lambda z: S, cosh_sum_field(12, name="V"))
+    z0 = project_to_constraint(dae, rng.uniform(-1.0, 1.0, size=12))
+    assert np.count_nonzero(A) == np.count_nonzero(S) == 12 * 12
     run, count = checked_run(monkeypatch, dae, scheme, z0)
     assert count == sum(r.newton_iters for r in run.records) > 40
 
@@ -234,10 +240,8 @@ def test_a_dense_structure_builds_the_dense_formula_bit_for_bit(scheme, monkeypa
 @pytest.mark.parametrize("grid", [GRID, 16])
 def test_a_bound_scheme_keeps_no_entry_of_an_earlier_structure_or_dt(scheme, grid):
     # S switches between constant objects of different sparsity: Mavg on
-    # A's two diagonals, Mavg + 0.05 D D^T on three (more than a quarter of
-    # the block at grid 8, so there the build switches between the dense
-    # write and the pattern write), and Mavg^T, nonzero on a diagonal where
-    # A is zero and zero on one where A is not
+    # A's two diagonals, Mavg + 0.05 D D^T on three, and Mavg^T, nonzero on
+    # a diagonal where A is zero and zero on one where A is not
     dae, z0 = lattice("cosh", grid)
     Mavg = dae.S(z0)
     structures = (Mavg, Mavg + 0.05 * dae.A @ dae.A.T, Mavg, Mavg.T.copy(), Mavg)
